@@ -1,6 +1,8 @@
 """Exact tribonacci-polynomial families, weighted tilings, truncated series,
 and grid verification of the identity catalog relating them."""
 
+from types import ModuleType as _ModuleType
+
 from .identities import (
     ALL_IDENTITY_IDS,
     GridConfig,
@@ -55,55 +57,9 @@ from .tribonacci import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALL_IDENTITY_IDS",
-    "ColoredTiling",
-    "DEFAULT_CAP",
-    "DEFAULT_ORDER",
-    "EnumerationCapError",
-    "GridConfig",
-    "IdentityReport",
-    "ONE",
-    "Polynomial",
-    "Tiling",
-    "TruncatedSeries",
-    "X",
-    "ZERO",
-    "all_passed",
-    "binom",
-    "closed_form_generating_series",
-    "colored_weight_distribution",
-    "direct_generating_series",
-    "enumerate_colored",
-    "enumerate_restricted",
-    "enumerate_tilings",
-    "exact_longer_distribution",
-    "expand_colored",
-    "incomplete_fibonacci_poly",
-    "incomplete_tribonacci_number",
-    "incomplete_tribonacci_poly",
-    "overshoot_distribution",
-    "overshoot_generating_series",
-    "overshoot_poly",
-    "rational_expand",
-    "run_grid",
-    "summarize",
-    "triangle_poly",
-    "tribonacci_number",
-    "tribonacci_poly",
-    "tribonacci_poly_explicit",
-    "verify_cor2",
-    "verify_eq12",
-    "verify_eq13",
-    "verify_eq4",
-    "verify_id1",
-    "verify_id2",
-    "verify_id3",
-    "verify_id4",
-    "verify_id5",
-    "verify_id6",
-    "verify_remark_a",
-    "verify_thm1",
-    "verify_thm2",
-    "weight_distribution",
-]
+# every public name imported above, and nothing else
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -17,25 +17,17 @@ from . import identities, tilings
 from . import tribonacci as trib
 from .poly import Polynomial
 
-# family -> (number of indices, kind)
+# family -> (function in tribpoly.tribonacci, number of indices); the
+# function is looked up when called, as the identity checks do, so that
+# whatever replaces a module attribute (a tracer, a test) sees the call
 FAMILIES = {
-    "trib-number": (1, "number"),
-    "trib-poly": (1, "poly"),
-    "incomplete-poly": (2, "poly"),
-    "incomplete-number": (2, "number"),
-    "b-poly": (2, "poly"),
-    "fib-incomplete": (2, "poly"),
-    "r-poly": (2, "poly"),
-}
-
-_FAMILY_FUNCS = {
-    "trib-number": trib.tribonacci_number,
-    "trib-poly": trib.tribonacci_poly,
-    "incomplete-poly": trib.incomplete_tribonacci_poly,
-    "incomplete-number": trib.incomplete_tribonacci_number,
-    "b-poly": trib.triangle_poly,
-    "fib-incomplete": trib.incomplete_fibonacci_poly,
-    "r-poly": trib.overshoot_poly,
+    "trib-number": ("tribonacci_number", 1),
+    "trib-poly": ("tribonacci_poly", 1),
+    "incomplete-poly": ("incomplete_tribonacci_poly", 2),
+    "incomplete-number": ("incomplete_tribonacci_number", 2),
+    "b-poly": ("triangle_poly", 2),
+    "fib-incomplete": ("incomplete_fibonacci_poly", 2),
+    "r-poly": ("overshoot_poly", 2),
 }
 
 
@@ -121,46 +113,32 @@ def _fail_usage(message: str) -> int:
     return 2
 
 
-def _emit_poly(payload: dict, value: Polynomial, fmt: str) -> None:
-    if fmt == "text":
-        print(value)
-    elif fmt == "json":
-        payload["coeffs"] = value.to_coeff_strings()
-        print(json.dumps(payload, indent=2))
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["exponent", "coefficient"])
-        for exponent, coefficient in enumerate(value.coeffs):
-            writer.writerow([exponent, coefficient])
-
-
-def _emit_number(payload: dict, value: int, fmt: str) -> None:
-    if fmt == "text":
-        print(value)
-    elif fmt == "json":
-        payload["value"] = str(value)
-        print(json.dumps(payload, indent=2))
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["value"])
-        writer.writerow([value])
-
-
 def _cmd_compute(args: argparse.Namespace) -> int:
-    arity, kind = FAMILIES[args.family]
+    name, arity = FAMILIES[args.family]
     if len(args.indices) != arity:
         return _fail_usage(
             f"family '{args.family}' expects {arity} index argument(s), got {len(args.indices)}"
         )
     try:
-        value = _FAMILY_FUNCS[args.family](*args.indices)
+        value = getattr(trib, name)(*args.indices)
     except ValueError as exc:
         return _fail_usage(str(exc))
-    payload = {"family": args.family, "indices": list(args.indices)}
-    if kind == "number":
-        _emit_number(payload, value, args.format)
+    poly = isinstance(value, Polynomial)
+    if args.format == "text":
+        print(value)
+    elif args.format == "json":
+        payload = {"family": args.family, "indices": list(args.indices)}
+        if poly:
+            payload["coeffs"] = value.to_coeff_strings()
+        else:
+            payload["value"] = str(value)
+        print(json.dumps(payload, indent=2))
     else:
-        _emit_poly(payload, value, args.format)
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        if poly:
+            writer.writerows([("exponent", "coefficient"), *enumerate(value.coeffs)])
+        else:
+            writer.writerows([("value",), (value,)])
     return 0
 
 

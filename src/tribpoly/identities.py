@@ -5,16 +5,23 @@ computing both sides independently and comparing for exact equality; the
 outcome is an :class:`IdentityReport`.  Points that violate an identity's
 stated precondition are reported as filtered, never as failures, and
 enumeration-backed checks whose instance exceeds the tiling cap are
-reported as resource-limited.  :func:`run_grid` sweeps the whole catalog
-(or a subset) over its default grid, which mirrors the acceptance bounds,
-with per-axis overrides via :class:`GridConfig`.
+reported as resource-limited.
+
+Each identity is declared once, on the function that computes its two
+sides: its id, its precondition and the default of each grid axis.  The
+declaration makes the ``verify_*`` check and enters it in :data:`CATALOG`.
+:func:`run_grid` sweeps the catalog, whole or in part, over those defaults,
+which mirror the acceptance bounds, with per-axis overrides via
+:class:`GridConfig`.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import time
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Sequence
 
 from . import tilings
 from . import tribonacci as trib
@@ -25,22 +32,6 @@ PASSED = "passed"
 FAILED = "failed"
 FILTERED = "filtered"
 RESOURCE_LIMITED = "resource_limited"
-
-ALL_IDENTITY_IDS = (
-    "EQ4",
-    "ID1",
-    "ID2",
-    "ID3",
-    "REMARK_A",
-    "ID4",
-    "ID5",
-    "ID6",
-    "EQ12",
-    "EQ13",
-    "THM1",
-    "THM2",
-    "COR2",
-)
 
 _ONE_PLUS_X3 = Polynomial((1, 0, 0, 1))
 
@@ -83,24 +74,64 @@ class GridConfig:
     cap: int = tilings.DEFAULT_CAP
 
 
-def _filtered(identity_id: str, params: dict[str, int]) -> IdentityReport:
-    return IdentityReport(identity_id, params, FILTERED, False, 0.0)
+@dataclass(frozen=True)
+class Identity:
+    """One catalog entry.
+
+    ``check`` is the module's ``verify_*`` function; ``params`` are the names
+    of its positional parameters, which every report carries.  ``axes`` maps
+    each grid axis, in sweep order, to its default: an ``(lo, hi)`` range, a
+    single int, or a callable of the parameters before it that returns
+    either.  A single-int axis the check does not take positionally is
+    passed as a keyword; a range axis it does not take only gates the sweep,
+    which yields nothing when that range is empty.
+    """
+
+    id: str
+    check: Callable[..., IdentityReport]
+    params: tuple[str, ...]
+    axes: dict[str, object]
 
 
-def _judge(
-    identity_id: str,
-    params: dict[str, int],
-    started: float,
-    lhs: object,
-    rhs: object,
-    extra_ok: bool = True,
-) -> IdentityReport:
-    elapsed = (time.perf_counter() - started) * 1000.0
-    if lhs == rhs and extra_ok:
-        return IdentityReport(identity_id, params, PASSED, True, elapsed)
-    return IdentityReport(
-        identity_id, params, FAILED, False, elapsed, lhs=str(lhs), rhs=str(rhs)
-    )
+CATALOG: dict[str, Identity] = {}
+
+
+def _identity(identity_id: str, precondition: Callable[..., bool], **axes: object):
+    """Declare an identity: turn a function returning ``(lhs, rhs)``, or
+    ``(lhs, rhs, holds)`` for a side condition that must also be true, into
+    its ``verify_*`` check, and enter it in :data:`CATALOG`."""
+
+    def declare(sides: Callable[..., tuple]) -> Callable[..., IdentityReport]:
+        names = tuple(
+            p.name
+            for p in inspect.signature(sides).parameters.values()
+            if p.kind is p.POSITIONAL_OR_KEYWORD
+        )
+
+        @functools.wraps(sides)
+        def check(*args: int, **options: int) -> IdentityReport:
+            if len(args) < len(names):  # parameters passed by name
+                args += tuple(options.pop(n) for n in names[len(args) :] if n in options)
+            params = dict(zip(names, args))
+            if not precondition(*args):
+                return IdentityReport(identity_id, params, FILTERED, False, 0.0)
+            started = time.perf_counter()
+            try:
+                lhs, rhs, *holds = sides(*args, **options)
+            except tilings.EnumerationCapError:
+                elapsed = (time.perf_counter() - started) * 1000.0
+                return IdentityReport(identity_id, params, RESOURCE_LIMITED, False, elapsed)
+            elapsed = (time.perf_counter() - started) * 1000.0
+            if lhs == rhs and all(holds):
+                return IdentityReport(identity_id, params, PASSED, True, elapsed)
+            return IdentityReport(
+                identity_id, params, FAILED, False, elapsed, lhs=str(lhs), rhs=str(rhs)
+            )
+
+        CATALOG[identity_id] = Identity(identity_id, check, names, axes)
+        return check
+
+    return declare
 
 
 def _divmod_poly(numerator: Polynomial, divisor: Polynomial) -> tuple[Polynomial, Polynomial]:
@@ -119,16 +150,18 @@ def _divmod_poly(numerator: Polynomial, divisor: Polynomial) -> tuple[Polynomial
     return Polynomial(quo), Polynomial(rem)
 
 
+def _series(terms: Sequence, order: int) -> TruncatedSeries:
+    """A series from its leading terms, cut to the order."""
+    return TruncatedSeries(terms[: order + 1], order)
+
+
 # ----------------------------------------------------------------------
 # the catalog
 
 
-def verify_eq4(n: int, s: int) -> IdentityReport:
+@_identity("EQ4", lambda n, s: s >= 0 and n >= 2 * s + 1, n=(1, 18), s=(0, 4))
+def verify_eq4(n: int, s: int):
     """Three-term recurrence of the incomplete polynomials with end-piece corrections."""
-    params = {"n": n, "s": s}
-    if s < 0 or n < 2 * s + 1:
-        return _filtered("EQ4", params)
-    started = time.perf_counter()
     inc = trib.incomplete_tribonacci_poly
     lhs = inc(n + 3, s)
     correction = trib.triangle_poly(n - s, s).times_monomial(1, 1) + trib.triangle_poly(
@@ -140,17 +173,20 @@ def verify_eq4(n: int, s: int) -> IdentityReport:
         + inc(n, s)
         - correction
     )
-    return _judge("EQ4", params, started, lhs, rhs)
+    return lhs, rhs
 
 
-def verify_id1(n: int, s: int, h: int) -> IdentityReport:
+@_identity(
+    "ID1",
+    lambda n, s, h: h >= 1 and s >= 0 and n >= 2 * s + 2,
+    n=(2, 14),
+    s=(0, 3),
+    h=(1, 4),
+)
+def verify_id1(n: int, s: int, h: int):
     """Geometric-weighted window sum against a level-(s+1) telescope, in the
     form cleared of the 1 + x^3 denominator, plus the exact-divisibility check
     that makes the uncleared statement a genuine polynomial identity."""
-    params = {"n": n, "s": s, "h": h}
-    if h < 1 or s < 0 or n < 2 * s + 2:
-        return _filtered("ID1", params)
-    started = time.perf_counter()
     inc = trib.incomplete_tribonacci_poly
     window = ZERO
     for i in range(h):
@@ -162,94 +198,64 @@ def verify_id1(n: int, s: int, h: int) -> IdentityReport:
         - inc(n + h, s).times_monomial(1, 1)
     )
     quotient, remainder = _divmod_poly(bracket, _ONE_PLUS_X3)
-    divisible = remainder.is_zero and quotient == window
-    return _judge("ID1", params, started, _ONE_PLUS_X3 * window, bracket, extra_ok=divisible)
+    return _ONE_PLUS_X3 * window, bracket, remainder.is_zero and quotient == window
 
 
-def verify_id2(n: int) -> IdentityReport:
+def _all_levels(n: int) -> Polynomial:
+    """Sum of the index-(n+1) incomplete polynomials over every level."""
+    total = ZERO
+    for s in range(n // 2 + 1):
+        total = total + trib.incomplete_tribonacci_poly(n + 1, s)
+    return total
+
+
+def _id2_correction(n: int) -> Polynomial:
+    """The double-sum correction of ID2: level i of the index-(n+1) sum, weighted by i."""
+    return trib.level_sum(n, range(n // 2 + 1))
+
+
+@_identity("ID2", lambda n: n >= 1, n=(1, 16))
+def verify_id2(n: int):
     """Sum over all restriction levels versus the double-sum correction term."""
-    params = {"n": n}
-    if n < 1:
-        return _filtered("ID2", params)
-    started = time.perf_counter()
-    half = n // 2
-    lhs = ZERO
-    for s in range(half + 1):
-        lhs = lhs + trib.incomplete_tribonacci_poly(n + 1, s)
-    terms: dict[int, int] = {}
-    for i in range(half + 1):
-        for j in range(i + 1):
-            c = i * trib.binom(i, j) * trib.binom(n - i - j, i)
-            if c:
-                e = 2 * n - 3 * (i + j)
-                terms[e] = terms.get(e, 0) + c
-    rhs = trib.tribonacci_poly(n + 1) * (half + 1) - Polynomial.from_terms(terms)
-    return _judge("ID2", params, started, lhs, rhs)
+    rhs = trib.tribonacci_poly(n + 1) * (n // 2 + 1) - _id2_correction(n)
+    return _all_levels(n), rhs
 
 
-def verify_id3(n: int) -> IdentityReport:
+@_identity("ID3", lambda n: n >= 1, n=(1, 16))
+def verify_id3(n: int):
     """Sum over all restriction levels versus a convolution over the position
     of a longer piece."""
-    params = {"n": n}
-    if n < 1:
-        return _filtered("ID3", params)
-    started = time.perf_counter()
-    half = n // 2
-    lhs = ZERO
-    for s in range(half + 1):
-        lhs = lhs + trib.incomplete_tribonacci_poly(n + 1, s)
     tp = trib.tribonacci_poly
     conv = ZERO
     for j in range(1, n):
         conv = conv + (tp(j).times_monomial(1, 1) + tp(j - 1)) * tp(n - j)
-    rhs = tp(n + 1) * (half + 1) - conv
-    return _judge("ID3", params, started, lhs, rhs)
+    return _all_levels(n), tp(n + 1) * (n // 2 + 1) - conv
 
 
-def _correction_total(n: int) -> int:
-    """x = 1 value of the double-sum correction appearing in ID2."""
-    return sum(
-        i * trib.binom(i, j) * trib.binom(n - i - j, i)
-        for i in range(n // 2 + 1)
-        for j in range(i + 1)
-    )
-
-
-def verify_remark_a(order: int) -> IdentityReport:
+# quantified over n up to the order, so n only gates the sweep
+@_identity("REMARK_A", lambda order: order >= 0, n=(1, 20), order=20)
+def verify_remark_a(order: int):
     """Closed rational generating function for the correction totals at x = 1."""
-    params = {"order": order}
-    if order < 0:
-        return _filtered("REMARK_A", params)
-    started = time.perf_counter()
-    lhs = TruncatedSeries([_correction_total(k) for k in range(order + 1)], order)
-    base = TruncatedSeries([1, -1, -1, -1][: order + 1], order)
-    rhs = rational_expand(TruncatedSeries([0, 0, 1, 1][: order + 1], order), base * base)
-    return _judge("REMARK_A", params, started, lhs, rhs)
+    lhs = TruncatedSeries([_id2_correction(k).evaluate(1) for k in range(order + 1)], order)
+    base = _series([1, -1, -1, -1], order)
+    return lhs, rational_expand(_series([0, 0, 1, 1], order), base * base)
 
 
-def verify_id4(n: int, s: int) -> IdentityReport:
+@_identity("ID4", lambda n, s: s >= 0 and n >= 2 * s + 1, n=(1, 16), s=(0, 4))
+def verify_id4(n: int, s: int):
     """Decomposition of an incomplete polynomial by its run of trailing dominos."""
-    params = {"n": n, "s": s}
-    if s < 0 or n < 2 * s + 1:
-        return _filtered("ID4", params)
-    started = time.perf_counter()
     inc = trib.incomplete_tribonacci_poly
-    lhs = inc(n + 1, s)
     rhs = ZERO
     for i in range(s + 1):
         rhs = rhs + inc(n - 2 * i, s - i).times_monomial(1, i + 2)
         rhs = rhs + inc(n - 2 * i - 2, s - i - 1).times_monomial(1, i)
-    return _judge("ID4", params, started, lhs, rhs)
+    return inc(n + 1, s), rhs
 
 
-def verify_id5(n: int, s: int) -> IdentityReport:
+@_identity("ID5", lambda n, s: s >= 0 and n >= 3 * s + 1, n=(1, 16), s=(0, 4))
+def verify_id5(n: int, s: int):
     """Decomposition by the composition of the final s tiles (trinomial refinement)."""
-    params = {"n": n, "s": s}
-    if s < 0 or n < 3 * s + 1:
-        return _filtered("ID5", params)
-    started = time.perf_counter()
     inc = trib.incomplete_tribonacci_poly
-    lhs = inc(n, s)
     rhs = ZERO
     for i in range(s + 1):
         for j in range(s - i + 1):
@@ -257,20 +263,16 @@ def verify_id5(n: int, s: int) -> IdentityReport:
             rhs = rhs + inc(n - s - i - 2 * j, s - i - j).times_monomial(
                 coeff, 2 * s - i - 2 * j
             )
-    return _judge("ID5", params, started, lhs, rhs)
+    return inc(n, s), rhs
 
 
-def verify_id6(n: int, s: int) -> IdentityReport:
+@_identity("ID6", lambda n, s: s >= 0 and n >= 2 * s, n=(0, 14), s=(0, 4))
+def verify_id6(n: int, s: int):
     """Expansion through the incomplete Fibonacci family.  The statement lives
     at half-integer exponents, so both sides are compared after x -> y^2:
     tribonacci members carry exponents doubled, Fibonacci members tripled."""
-    params = {"n": n, "s": s}
-    if s < 0 or n < 2 * s:
-        return _filtered("ID6", params)
-    started = time.perf_counter()
     inc = trib.incomplete_tribonacci_poly
     fib = trib.incomplete_fibonacci_poly
-    lhs = inc(n + 1, s).substitute_power(2)
     rhs = fib(n + 1, s).substitute_power(3).times_monomial(1, n)
     for i in range(1, n - 1):
         for j in range(s):
@@ -279,54 +281,42 @@ def verify_id6(n: int, s: int) -> IdentityReport:
                 continue
             piece = delta.substitute_power(2) * fib(i, s - j - 1).substitute_power(3)
             rhs = rhs + piece.times_monomial(1, i - 1)
-    return _judge("ID6", params, started, lhs, rhs)
+    return inc(n + 1, s).substitute_power(2), rhs
 
 
-def verify_eq12(n: int, s: int) -> IdentityReport:
+@_identity("EQ12", lambda n, s: s >= 0 and n >= 2 * s + 1, n=(1, 18), s=(0, 4))
+def verify_eq12(n: int, s: int):
     """Full polynomial minus the overshoot convolution equals the incomplete one."""
-    params = {"n": n, "s": s}
-    if s < 0 or n < 2 * s + 1:
-        return _filtered("EQ12", params)
-    started = time.perf_counter()
-    lhs = trib.incomplete_tribonacci_poly(n, s)
     acc = ZERO
     for i in range(n - 2 * s):
         acc = acc + trib.overshoot_poly(i, s) * trib.tribonacci_poly(n - 2 * s - i)
-    rhs = trib.tribonacci_poly(n) - acc
-    return _judge("EQ12", params, started, lhs, rhs)
+    return trib.incomplete_tribonacci_poly(n, s), trib.tribonacci_poly(n) - acc
 
 
-def verify_eq13(n: int, s: int) -> IdentityReport:
+@_identity("EQ13", lambda n, s: s >= 0 and n >= 2 * s + 1, n=(1, 18), s=(0, 4))
+def verify_eq13(n: int, s: int):
     """Splitting of the full polynomial at a fixed boundary position."""
-    params = {"n": n, "s": s}
-    if s < 0 or n < 2 * s + 1:
-        return _filtered("EQ13", params)
-    started = time.perf_counter()
     tp = trib.tribonacci_poly
-    lhs = tp(n)
     rhs = (
         tp(n - 2 * s) * tp(2 * s + 1)
         + tp(n - 2 * s - 1) * (tp(2 * s - 1) + tp(2 * s).times_monomial(1, 1))
         + tp(n - 2 * s - 2) * tp(2 * s)
     )
-    return _judge("EQ13", params, started, lhs, rhs)
+    return tp(n), rhs
 
 
-def verify_thm1(n: int, s: int, *, cap: int = tilings.DEFAULT_CAP) -> IdentityReport:
+@_identity(
+    "THM1",
+    lambda n, s: n >= 0 and s >= 0,
+    n=(0, 14),
+    s=lambda n: (0, n // 2),
+    cap=tilings.DEFAULT_CAP,
+)
+def verify_thm1(n: int, s: int, *, cap: int = tilings.DEFAULT_CAP):
     """Enumerated weight distribution of budget-restricted tilings equals the
     incomplete polynomial formula."""
-    params = {"n": n, "s": s}
-    if n < 0 or s < 0:
-        return _filtered("THM1", params)
-    started = time.perf_counter()
-    try:
-        members = tilings.enumerate_restricted(n, s, cap=cap)
-    except tilings.EnumerationCapError:
-        elapsed = (time.perf_counter() - started) * 1000.0
-        return IdentityReport("THM1", params, RESOURCE_LIMITED, False, elapsed)
-    lhs = tilings.weight_distribution(members)
-    rhs = trib.incomplete_tribonacci_poly(n + 1, s)
-    return _judge("THM1", params, started, lhs, rhs)
+    members = tilings.enumerate_restricted(n, s, cap=cap)
+    return tilings.weight_distribution(members), trib.incomplete_tribonacci_poly(n + 1, s)
 
 
 # ----------------------------------------------------------------------
@@ -338,10 +328,7 @@ def overshoot_generating_series(s: int, order: int) -> TruncatedSeries:
     ``overshoot_poly(n, s)``."""
     if s < 0:
         raise ValueError(f"overshoot level must be >= 0, got {s}")
-    x_sq = X * X
-    frac = rational_expand(
-        TruncatedSeries([X, ONE], order), TruncatedSeries([ONE, -x_sq], order)
-    )
+    frac = rational_expand(_series([X, ONE], order), _series([ONE, -(X * X)], order))
     return (frac ** (s + 1)).shifted(2)
 
 
@@ -375,136 +362,79 @@ def closed_form_generating_series(
         tn = trib.tribonacci_number
         head = [tn(2 * s + 1), tn(2 * s - 1) + tn(2 * s), tn(2 * s) + z2_offset]
         tail = (
-            rational_expand(
-                TruncatedSeries([1, 1], order), TruncatedSeries([1, -1], order)
-            )
-            ** (s + 1)
+            rational_expand(_series([1, 1], order), _series([1, -1], order)) ** (s + 1)
         ).shifted(2)
-        denominator = TruncatedSeries([1, -1, -1, -1][: order + 1], order)
+        denominator = _series([1, -1, -1, -1], order)
     else:
         tp = trib.tribonacci_poly
-        x_sq = X * X
         head = [
             tp(2 * s + 1),
             tp(2 * s - 1) + tp(2 * s).times_monomial(1, 1),
             tp(2 * s) + z2_offset,
         ]
         tail = overshoot_generating_series(s, order)
-        denominator = TruncatedSeries(
-            [ONE, -x_sq, -X, -ONE][: order + 1], order
-        )
-    numerator = TruncatedSeries(head[: order + 1], order) - tail
-    return rational_expand(numerator, denominator).shifted(2 * s + 1)
+        denominator = _series([ONE, -(X * X), -X, -ONE], order)
+    return rational_expand(_series(head, order) - tail, denominator).shifted(2 * s + 1)
 
 
-def verify_thm2(s: int, order: int) -> IdentityReport:
+@_identity("THM2", lambda s, order: s >= 0 and order >= 2 * s + 1, s=(0, 4), order=25)
+def verify_thm2(s: int, order: int):
     """Symbolic generating function: closed rational form against the direct sum."""
-    params = {"s": s, "order": order}
-    if s < 0 or order < 2 * s + 1:
-        return _filtered("THM2", params)
-    started = time.perf_counter()
-    lhs = direct_generating_series(s, order)
-    rhs = closed_form_generating_series(s, order)
-    return _judge("THM2", params, started, lhs, rhs)
+    return direct_generating_series(s, order), closed_form_generating_series(s, order)
 
 
-def verify_cor2(s: int, order: int) -> IdentityReport:
+@_identity("COR2", lambda s, order: s >= 0 and order >= 2 * s + 1, s=(0, 4), order=25)
+def verify_cor2(s: int, order: int):
     """x = 1 generating function, including the regression control: the
     numerator with its z^2 coefficient shifted by -2 must fail to match."""
-    params = {"s": s, "order": order}
-    if s < 0 or order < 2 * s + 1:
-        return _filtered("COR2", params)
-    started = time.perf_counter()
     lhs = direct_generating_series(s, order, x1=True)
     rhs = closed_form_generating_series(s, order, x1=True)
     control = closed_form_generating_series(s, order, x1=True, z2_offset=-2)
-    return _judge("COR2", params, started, lhs, rhs, extra_ok=(control != lhs))
+    return lhs, rhs, control != lhs
+
+
+ALL_IDENTITY_IDS = tuple(CATALOG)
 
 
 # ----------------------------------------------------------------------
 # grid sweep
 
-_DEFAULT_N = {
-    "EQ4": (1, 18),
-    "ID1": (2, 14),
-    "ID2": (1, 16),
-    "ID3": (1, 16),
-    "ID4": (1, 16),
-    "ID5": (1, 16),
-    "ID6": (0, 14),
-    "EQ12": (1, 18),
-    "EQ13": (1, 18),
-    "THM1": (0, 14),
-    "REMARK_A": (1, 20),
+
+# grid axis -> the GridConfig field that overrides its default
+_CONFIG_FIELDS = {
+    "n": "n_range",
+    "s": "s_range",
+    "h": "h_range",
+    "order": "series_order",
+    "cap": "cap",
 }
-_DEFAULT_S = {"ID1": (0, 3)}
-_FALLBACK_S = (0, 4)
-_DEFAULT_H = (1, 4)
-_DEFAULT_ORDER = {"REMARK_A": 20, "THM2": 25, "COR2": 25}
 
 
-def _span(bounds: tuple[int, int]) -> range:
-    return range(bounds[0], bounds[1] + 1)
-
-
-def _reports_for_identity(identity_id: str, cfg: GridConfig) -> Iterator[IdentityReport]:
-    n_r = cfg.n_range if cfg.n_range is not None else _DEFAULT_N.get(identity_id)
-    s_r = cfg.s_range if cfg.s_range is not None else _DEFAULT_S.get(identity_id, _FALLBACK_S)
-    h_r = cfg.h_range if cfg.h_range is not None else _DEFAULT_H
-    order = cfg.series_order if cfg.series_order is not None else _DEFAULT_ORDER.get(identity_id)
-
-    if identity_id == "EQ4":
-        for n in _span(n_r):
-            for s in _span(s_r):
-                yield verify_eq4(n, s)
-    elif identity_id == "ID1":
-        for n in _span(n_r):
-            for s in _span(s_r):
-                for h in _span(h_r):
-                    yield verify_id1(n, s, h)
-    elif identity_id == "ID2":
-        for n in _span(n_r):
-            yield verify_id2(n)
-    elif identity_id == "ID3":
-        for n in _span(n_r):
-            yield verify_id3(n)
-    elif identity_id == "REMARK_A":
-        # quantified over n up to the order; gated on the n axis
-        if n_r[0] <= n_r[1]:
-            yield verify_remark_a(order)
-    elif identity_id == "ID4":
-        for n in _span(n_r):
-            for s in _span(s_r):
-                yield verify_id4(n, s)
-    elif identity_id == "ID5":
-        for n in _span(n_r):
-            for s in _span(s_r):
-                yield verify_id5(n, s)
-    elif identity_id == "ID6":
-        for n in _span(n_r):
-            for s in _span(s_r):
-                yield verify_id6(n, s)
-    elif identity_id == "EQ12":
-        for n in _span(n_r):
-            for s in _span(s_r):
-                yield verify_eq12(n, s)
-    elif identity_id == "EQ13":
-        for n in _span(n_r):
-            for s in _span(s_r):
-                yield verify_eq13(n, s)
-    elif identity_id == "THM1":
-        for n in _span(n_r):
-            s_bounds = cfg.s_range if cfg.s_range is not None else (0, n // 2)
-            for s in _span(s_bounds):
-                yield verify_thm1(n, s, cap=cfg.cap)
-    elif identity_id == "THM2":
-        for s in _span(s_r):
-            yield verify_thm2(s, order)
-    elif identity_id == "COR2":
-        for s in _span(s_r):
-            yield verify_cor2(s, order)
-    else:  # pragma: no cover - guarded by run_grid
-        raise ValueError(f"unknown identity id: {identity_id}")
+def _points(entry: Identity, cfg: GridConfig) -> tuple[list[tuple[int, ...]], dict[str, int]]:
+    """The positional arguments of every check of one identity, in sweep
+    order, and the keyword options they all share."""
+    points: list[tuple[int, ...]] = [()]
+    options: dict[str, int] = {}
+    for axis, default in entry.axes.items():
+        bounds = getattr(cfg, _CONFIG_FIELDS[axis])
+        if bounds is None:
+            bounds = default
+        if axis not in entry.params:
+            if isinstance(bounds, int):
+                options[axis] = bounds
+            elif bounds[0] > bounds[1]:
+                return [], options
+            continue
+        grown = []
+        for point in points:
+            span = bounds(*point) if callable(bounds) else bounds
+            if isinstance(span, int):
+                grown.append((*point, span))
+            else:
+                for value in range(span[0], span[1] + 1):
+                    grown.append((*point, value))
+        points = grown
+    return points, options
 
 
 def run_grid(
@@ -512,17 +442,16 @@ def run_grid(
 ) -> list[IdentityReport]:
     """Verify identities over their grids, in catalog order; deterministic."""
     cfg = config if config is not None else GridConfig()
-    if identities is None:
-        wanted = set(ALL_IDENTITY_IDS)
-    else:
-        wanted = set(identities)
-        unknown = wanted - set(ALL_IDENTITY_IDS)
-        if unknown:
-            raise ValueError(f"unknown identity ids: {sorted(unknown)}")
-    reports: list[IdentityReport] = []
-    for identity_id in ALL_IDENTITY_IDS:
+    wanted = set(CATALOG if identities is None else identities)
+    unknown = wanted.difference(CATALOG)
+    if unknown:
+        raise ValueError(f"unknown identity ids: {sorted(unknown)}")
+    reports = []
+    for identity_id, entry in CATALOG.items():
         if identity_id in wanted:
-            reports.extend(_reports_for_identity(identity_id, cfg))
+            points, options = _points(entry, cfg)
+            for point in points:
+                reports.append(entry.check(*point, **options))
     return reports
 
 

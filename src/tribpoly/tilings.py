@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .poly import Polynomial
 
@@ -150,8 +150,8 @@ def enumerate_restricted(n: int, max_longer: int, *, cap: int = DEFAULT_CAP) -> 
     return [Tiling(p) for p in _tilings(n, max_longer)]
 
 
-def weight_distribution(tilings: Iterable[Tiling]) -> Polynomial:
-    """Sum of x**weight_exponent over the given tilings."""
+def weight_distribution(tilings: Iterable[Tiling | ColoredTiling]) -> Polynomial:
+    """Sum of x**weight_exponent over the given tilings, plain or colored."""
     counts = Counter(t.weight_exponent for t in tilings)
     return Polynomial.from_terms(counts)
 
@@ -179,9 +179,7 @@ def enumerate_colored(n: int, i: int, *, cap: int = DEFAULT_CAP) -> list[Colored
     return [ColoredTiling(p) for p in _colored(n, i)]
 
 
-def colored_weight_distribution(tilings: Iterable[ColoredTiling]) -> Polynomial:
-    counts = Counter(t.weight_exponent for t in tilings)
-    return Polynomial.from_terms(counts)
+colored_weight_distribution = weight_distribution
 
 
 def expand_colored(tiling: ColoredTiling) -> Tiling:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import threading
+from typing import Iterable
 
 from .poly import ONE, Polynomial, ZERO
 
@@ -68,6 +69,19 @@ def tribonacci_poly(n: int) -> Polynomial:
         return _polys[n]
 
 
+def level_sum(n: int, weights: Iterable[int]) -> Polynomial:
+    """Levels i = 0, 1, ... of the index-(n+1) double sum, level i weighted
+    by ``weights[i]``; level i is sum_j binom(i, j) binom(n-i-j, i) x^(2n-3(i+j))."""
+    terms: dict[int, int] = {}
+    for i, weight in enumerate(weights):
+        for j in range(i + 1):
+            c = math.comb(i, j) * binom(n - i - j, i)  # 0 <= j <= i: no range check
+            if c:
+                e = 2 * n - 3 * (i + j)
+                terms[e] = terms.get(e, 0) + weight * c
+    return Polynomial.from_terms(terms)
+
+
 def tribonacci_poly_explicit(n: int) -> Polynomial:
     """Index-(n+1) tribonacci polynomial from the closed double sum.
 
@@ -76,14 +90,7 @@ def tribonacci_poly_explicit(n: int) -> Polynomial:
     """
     if n < 0:
         raise ValueError(f"explicit form needs n >= 0, got {n}")
-    terms: dict[int, int] = {}
-    for i in range(n // 2 + 1):
-        for j in range(i + 1):
-            c = binom(i, j) * binom(n - i - j, i)
-            if c:
-                e = 2 * n - 3 * (i + j)
-                terms[e] = terms.get(e, 0) + c
-    return Polynomial.from_terms(terms)
+    return level_sum(n, [1] * (n // 2 + 1))
 
 
 def triangle_poly(n: int, i: int) -> Polynomial:
@@ -113,16 +120,7 @@ def incomplete_tribonacci_poly(m: int, s: int) -> Polynomial:
         raise ValueError(f"restriction level must be >= -1, got {s}")
     if m < 1:
         raise ValueError(f"incomplete family index must be >= 1, got {m}")
-    n = m - 1
-    s = min(s, n // 2)
-    terms: dict[int, int] = {}
-    for i in range(s + 1):
-        for j in range(i + 1):
-            c = binom(i, j) * binom(n - i - j, i)
-            if c:
-                e = 2 * n - 3 * (i + j)
-                terms[e] = terms.get(e, 0) + c
-    return Polynomial.from_terms(terms)
+    return level_sum(m - 1, [1] * (min(s, (m - 1) // 2) + 1))
 
 
 def incomplete_tribonacci_number(m: int, s: int) -> int:

@@ -159,3 +159,18 @@ def test_report_json_shape():
     assert set(passing) == {"identity_id", "params", "status", "passed", "elapsed_ms"}
     filtered = verify_eq4(4, 2).to_json_dict()
     assert filtered["status"] == "filtered"
+
+
+@pytest.mark.parametrize("x1", [False, True])
+@pytest.mark.parametrize("s", range(4))
+def test_closed_form_matches_direct_from_order_zero(s, x1):
+    for order in range(2 * s + 3):
+        closed = closed_form_generating_series(s, order, x1=x1)
+        assert closed == direct_generating_series(s, order, x1=x1), (s, order)
+
+
+def test_overshoot_series_from_order_zero():
+    for s in range(3):
+        for order in range(4):
+            series = ident.overshoot_generating_series(s, order)
+            assert list(series.coeffs) == [trib.overshoot_poly(k, s) for k in range(order + 1)]
