@@ -41,24 +41,19 @@ def _range_arg(text: str) -> tuple[int, int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument(
+    formatted = argparse.ArgumentParser(add_help=False)
+    formatted.add_argument(
         "--format",
         choices=("text", "json", "csv"),
         default="text",
         help="output format (default: text)",
     )
-    shared.add_argument(
+    capped = argparse.ArgumentParser(add_help=False, parents=[formatted])
+    capped.add_argument(
         "--cap",
         type=int,
         default=tilings.DEFAULT_CAP,
         help=f"enumeration length cap (default: {tilings.DEFAULT_CAP})",
-    )
-    shared.add_argument(
-        "--order",
-        type=int,
-        default=None,
-        help="series truncation order where applicable",
     )
 
     parser = argparse.ArgumentParser(
@@ -67,13 +62,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compute", parents=[shared], help="evaluate one family member")
+    p = sub.add_parser("compute", parents=[formatted], help="evaluate one family member")
     p.add_argument("family", choices=sorted(FAMILIES))
     p.add_argument("indices", nargs="+", type=int)
     p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser(
-        "enumerate", parents=[shared], help="list tilings and their weight distribution"
+        "enumerate", parents=[capped], help="list tilings and their weight distribution"
     )
     p.add_argument("n", type=int)
     p.add_argument(
@@ -85,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser(
-        "verify", parents=[shared], help="check identities over a parameter grid"
+        "verify", parents=[capped], help="check identities over a parameter grid"
     )
     p.add_argument(
         "identity",
@@ -96,12 +91,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_range_arg, default=None, dest="n_range", help="n range a..b")
     p.add_argument("--s", type=_range_arg, default=None, dest="s_range", help="s range a..b")
     p.add_argument("--h", type=_range_arg, default=None, dest="h_range", help="h range a..b")
+    p.add_argument("--order", type=int, default=None, help="series order of THM2/COR2/REMARK_A")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser(
-        "gf", parents=[shared], help="expand a restriction-level generating function"
+        "gf", parents=[formatted], help="expand a restriction-level generating function"
     )
     p.add_argument("--s", type=int, required=True, help="restriction level")
+    p.add_argument("--order", type=int, required=True, help="series truncation order")
     p.add_argument("--x1", action="store_true", help="evaluate coefficients at x = 1")
     p.set_defaults(func=_cmd_gf)
 
@@ -239,8 +236,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_gf(args: argparse.Namespace) -> int:
     if args.s < 0:
         return _fail_usage(f"restriction level must be >= 0, got {args.s}")
-    if args.order is None:
-        return _fail_usage("gf requires --order")
     if args.order < 2 * args.s + 1:
         return _fail_usage(
             f"order {args.order} is below the series offset {2 * args.s + 1}; nothing to show"

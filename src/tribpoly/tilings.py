@@ -206,6 +206,8 @@ def overshoot_distribution(n: int, s: int, *, cap: int = DEFAULT_CAP) -> Polynom
     ending in a longer piece.  Brute-force counterpart of
     :func:`tribpoly.tribonacci.overshoot_poly`.
     """
+    if n < 0:
+        raise ValueError(f"overshoot index must be >= 0, got {n}")
     if s < 0:
         raise ValueError(f"overshoot level must be >= 0, got {s}")
     length = n + 2 * s

@@ -69,16 +69,24 @@ def tribonacci_poly(n: int) -> Polynomial:
         return _polys[n]
 
 
+def _add_triangle(terms: dict[int, int], n: int, i: int, weight: int = 1, shift: int = 0) -> None:
+    """Add ``weight * x^shift * B(n, i)`` into the exponent -> coefficient dict,
+    where B(n, i) = sum_j binom(i, j) binom(n-j, i) x^(2n-i-3j) is the
+    tribonacci-triangle entry: the weight of length-(n+i) tilings with
+    exactly i longer pieces.  Empty for i < 0 or n < i."""
+    for j in range(i + 1):
+        c = math.comb(i, j) * binom(n - j, i)  # 0 <= j <= i: no range check
+        if c:
+            e = 2 * n - i - 3 * j + shift
+            terms[e] = terms.get(e, 0) + weight * c
+
+
 def level_sum(n: int, weights: Iterable[int]) -> Polynomial:
     """Levels i = 0, 1, ... of the index-(n+1) double sum, level i weighted
-    by ``weights[i]``; level i is sum_j binom(i, j) binom(n-i-j, i) x^(2n-3(i+j))."""
+    by ``weights[i]``; level i is B(n-i, i)."""
     terms: dict[int, int] = {}
     for i, weight in enumerate(weights):
-        for j in range(i + 1):
-            c = math.comb(i, j) * binom(n - i - j, i)  # 0 <= j <= i: no range check
-            if c:
-                e = 2 * n - 3 * (i + j)
-                terms[e] = terms.get(e, 0) + weight * c
+        _add_triangle(terms, n - i, i, weight)
     return Polynomial.from_terms(terms)
 
 
@@ -100,12 +108,21 @@ def triangle_poly(n: int, i: int) -> Polynomial:
     evaluating at x = 1 gives the plain triangle entry.
     """
     terms: dict[int, int] = {}
-    for j in range(max(i, -1) + 1):
-        c = binom(i, j) * binom(n - j, i)
-        if c:
-            e = 2 * n - i - 3 * j
-            terms[e] = terms.get(e, 0) + c
+    _add_triangle(terms, n, i)
     return Polynomial.from_terms(terms)
+
+
+def _top_level(m: int, s: int) -> int:
+    """The last level kept by the index-m incomplete member cut at level s:
+    -1 (no level, the zero member) for s = -1, whatever m is; levels beyond
+    floor((m-1)/2) are clamped."""
+    if s == -1:
+        return -1
+    if s < -1:
+        raise ValueError(f"restriction level must be >= -1, got {s}")
+    if m < 1:
+        raise ValueError(f"incomplete family index must be >= 1, got {m}")
+    return min(s, (m - 1) // 2)
 
 
 def incomplete_tribonacci_poly(m: int, s: int) -> Polynomial:
@@ -114,13 +131,7 @@ def incomplete_tribonacci_poly(m: int, s: int) -> Polynomial:
     s = -1 gives the zero polynomial; s beyond floor((m-1)/2) is clamped,
     so the top level equals ``tribonacci_poly(m)``.
     """
-    if s == -1:
-        return ZERO
-    if s < -1:
-        raise ValueError(f"restriction level must be >= -1, got {s}")
-    if m < 1:
-        raise ValueError(f"incomplete family index must be >= 1, got {m}")
-    return level_sum(m - 1, [1] * (min(s, (m - 1) // 2) + 1))
+    return level_sum(m - 1, [1] * (_top_level(m, s) + 1))
 
 
 def incomplete_tribonacci_number(m: int, s: int) -> int:
@@ -134,20 +145,8 @@ def incomplete_fibonacci_poly(n: int, s: int) -> Polynomial:
     Same conventions as the tribonacci variant: s = -1 is zero, larger s
     clamps to floor((n-1)/2).
     """
-    if s == -1:
-        return ZERO
-    if s < -1:
-        raise ValueError(f"restriction level must be >= -1, got {s}")
-    if n < 1:
-        raise ValueError(f"incomplete family index must be >= 1, got {n}")
-    s = min(s, (n - 1) // 2)
-    terms: dict[int, int] = {}
-    for r in range(s + 1):
-        c = binom(n - r - 1, r)
-        if c:
-            e = n - 2 * r - 1
-            terms[e] = terms.get(e, 0) + c
-    return Polynomial.from_terms(terms)
+    levels = range(_top_level(n, s) + 1)  # binom(n-r-1, r) > 0 on each
+    return Polynomial.from_terms({n - 2 * r - 1: math.comb(n - r - 1, r) for r in levels})
 
 
 def overshoot_poly(n: int, s: int) -> Polynomial:
@@ -163,18 +162,8 @@ def overshoot_poly(n: int, s: int) -> Polynomial:
         raise ValueError(f"overshoot index must be >= 0, got {n}")
     if s < 0:
         raise ValueError(f"overshoot level must be >= 0, got {s}")
-    if n <= 1:
-        return ZERO
-    if n == 2:
-        return Polynomial.monomial(1, s + 1)
     terms: dict[int, int] = {}
-    for j in range(s + 1):
-        c = binom(s, j) * binom(n + s - j - 2, s)
-        if c:
-            e = 2 * n + s - 3 * j - 3
-            terms[e] = terms.get(e, 0) + c
-        c = binom(s, j) * binom(n + s - j - 3, s)
-        if c:
-            e = 2 * n + s - 3 * j - 6
-            terms[e] = terms.get(e, 0) + c
+    # remove the last longer piece: a domino (weight x) or a tromino (weight 1)
+    _add_triangle(terms, n + s - 2, s, shift=1)
+    _add_triangle(terms, n + s - 3, s)
     return Polynomial.from_terms(terms)

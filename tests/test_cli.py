@@ -243,6 +243,18 @@ def test_gf_requires_order(capsys):
     assert "--order" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "trib-poly", "4", "--order", "5", "--cap", "3"),
+        ("gf", "--s", "0", "--order", "3", "--cap", "1"),
+        ("enumerate", "3", "--order", "2"),
+    ],
+)
+def test_flags_a_subcommand_does_not_use_are_rejected(capsys, argv):
+    assert run_cli(capsys, *argv)[0] == 2
+
+
 def test_gf_rejects_negative_level(capsys):
     code, _, _ = run_cli(capsys, "gf", "--s", "-1", "--order", "5")
     assert code == 2

@@ -99,6 +99,13 @@ def test_cor2_negative_control_is_active(monkeypatch):
     assert verify_cor2(1, 10).status == "failed"
 
 
+def test_cor2_passes_below_the_control_order():
+    # the control's shift lands at z^(2s+3); below that order it cannot show
+    for s in range(4):
+        for order in range(2 * s + 1, 2 * s + 4):
+            assert verify_cor2(s, order).status == "passed", (s, order)
+
+
 def test_direct_series_starts_at_the_offset():
     series = direct_generating_series(1, 10)
     for k in range(3):

@@ -169,5 +169,7 @@ def test_overshoot_distribution_example():
     assert overshoot_distribution(3, 0) == Polynomial.from_terms({3: 1, 0: 1})
     with pytest.raises(ValueError):
         overshoot_distribution(3, -1)
+    with pytest.raises(ValueError):
+        overshoot_distribution(-1, 1)
     with pytest.raises(EnumerationCapError):
         overshoot_distribution(15, 2)
