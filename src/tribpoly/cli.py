@@ -2,7 +2,9 @@
 expand generating functions, and verify the identity catalog.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
-All results go to stdout; diagnostics go to stderr.
+All results go to stdout; diagnostics go to stderr.  A stdout closed
+before all output is written (``tribpoly verify all | head``) exits 1
+quietly.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -257,7 +260,15 @@ def _cmd_gf(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone; send what is still buffered to devnull, so
+        # the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

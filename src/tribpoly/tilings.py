@@ -1,9 +1,10 @@
 """Brute-force enumeration of linear tilings and their weight statistics.
 
-Plain tilings cover a strip of length n with squares (r, length 1),
-dominos (d, length 2) and trominos (t, length 3); dominos and trominos
-together are the "longer" pieces.  Colored tilings cover a strip with
-black squares (B), white squares (W) and dominos (D).
+Each tiling model is one three-row table of ``(piece, length)`` in word
+order: plain ``r 1, d 2, t 3`` (square, domino, tromino) and colored
+``B 1, W 1, D 2`` (black square, white square, domino).  Rank 0 is the
+short piece; ranks 1 and 2 are the "longer" pieces, each costing one unit
+of budget.  Rank k weighs x^(2 - k), so ``expand_colored`` maps rank to rank.
 
 Enumeration is intentionally naive, because these sets are the
 independent oracle against which the closed formulas are checked, and is
@@ -23,14 +24,16 @@ DEFAULT_CAP = 18
 SQUARE = "r"
 DOMINO = "d"
 TROMINO = "t"
-_PIECE_LEN = {SQUARE: 1, DOMINO: 2, TROMINO: 3}
-
 BLACK = "B"
 WHITE = "W"
 COLORED_DOMINO = "D"
-_COLORED_LEN = {BLACK: 1, WHITE: 1, COLORED_DOMINO: 2}
 
-_EXPANSION = {BLACK: SQUARE, WHITE: DOMINO, COLORED_DOMINO: TROMINO}
+# (piece, length) by rank, in word order
+_Model = tuple[tuple[str, int], ...]
+_PLAIN: _Model = ((SQUARE, 1), (DOMINO, 2), (TROMINO, 3))
+_COLORED: _Model = ((BLACK, 1), (WHITE, 1), (COLORED_DOMINO, 2))
+
+_EXPANSION = {colored: plain for (colored, _), (plain, _) in zip(_COLORED, _PLAIN)}
 
 
 class EnumerationCapError(RuntimeError):
@@ -46,100 +49,84 @@ def _check_cap(n: int, cap: int) -> None:
         )
 
 
+def _count(*ranks: int, doc: str | None = None) -> property:
+    """Property counting the pieces of the given ranks of the class's model."""
+    return property(
+        lambda self: sum(self.pieces.count(self._model[k][0]) for k in ranks), doc=doc
+    )
+
+
 @dataclass(frozen=True)
-class Tiling:
-    """One tiling, as its piece sequence; statistics are computed on demand."""
+class _Word:
+    """A piece sequence of one model; statistics are computed on demand."""
 
     pieces: tuple[str, ...]
+    _model = ()  # the subclass's piece table; not a field
 
     @property
     def length(self) -> int:
-        return sum(_PIECE_LEN[p] for p in self.pieces)
-
-    @property
-    def squares(self) -> int:
-        return sum(1 for p in self.pieces if p == SQUARE)
-
-    @property
-    def dominos(self) -> int:
-        return sum(1 for p in self.pieces if p == DOMINO)
-
-    @property
-    def trominos(self) -> int:
-        return sum(1 for p in self.pieces if p == TROMINO)
-
-    @property
-    def longer_pieces(self) -> int:
-        return self.dominos + self.trominos
+        lengths = dict(self._model)
+        return sum(lengths[p] for p in self.pieces)
 
     @property
     def weight_exponent(self) -> int:
-        # squares count twice, dominos once, trominos not at all
-        return 2 * self.squares + self.dominos
+        # rank 0 counts twice, rank 1 once, rank 2 not at all
+        (short, _), (middle, _), _ = self._model
+        return 2 * self.pieces.count(short) + self.pieces.count(middle)
 
     def word(self) -> str:
         return "".join(self.pieces)
 
 
-@dataclass(frozen=True)
-class ColoredTiling:
+class Tiling(_Word):
+    """One tiling by squares, dominos and trominos."""
+
+    _model = _PLAIN
+    squares = _count(0)
+    dominos = _count(1)
+    trominos = _count(2)
+    longer_pieces = _count(1, 2)
+
+
+class ColoredTiling(_Word):
     """Square-and-domino tiling with black/white squares."""
 
-    pieces: tuple[str, ...]
-
-    @property
-    def length(self) -> int:
-        return sum(_COLORED_LEN[p] for p in self.pieces)
-
-    @property
-    def black_squares(self) -> int:
-        return sum(1 for p in self.pieces if p == BLACK)
-
-    @property
-    def white_squares(self) -> int:
-        return sum(1 for p in self.pieces if p == WHITE)
-
-    @property
-    def dominos(self) -> int:
-        return sum(1 for p in self.pieces if p == COLORED_DOMINO)
-
-    @property
-    def color_budget(self) -> int:
-        """White squares plus dominos: the index the family is graded by."""
-        return self.white_squares + self.dominos
-
-    @property
-    def weight_exponent(self) -> int:
-        return 2 * self.black_squares + self.white_squares
-
-    def word(self) -> str:
-        return "".join(self.pieces)
+    _model = _COLORED
+    black_squares = _count(0)
+    white_squares = _count(1)
+    dominos = _count(2)
+    color_budget = _count(
+        1, 2, doc="White squares plus dominos: the index the family is graded by."
+    )
 
 
 # ----------------------------------------------------------------------
-# enumeration; piece order r < d < t makes the output lexicographic
+# enumeration; table order (r < d < t, B < W < D) makes it lexicographic
 
 
-def _tilings(n: int, budget: int | None) -> Iterator[tuple[str, ...]]:
+def _words(n: int, model: _Model, budget: int) -> Iterator[tuple[str, ...]]:
+    """Piece sequences of length n with at most ``budget`` longer pieces."""
     if n == 0:
         yield ()
         return
-    for rest in _tilings(n - 1, budget):
-        yield (SQUARE,) + rest
-    if budget is None or budget > 0:
-        nxt = None if budget is None else budget - 1
-        if n >= 2:
-            for rest in _tilings(n - 2, nxt):
-                yield (DOMINO,) + rest
-        if n >= 3:
-            for rest in _tilings(n - 3, nxt):
-                yield (TROMINO,) + rest
+    for rank, (piece, size) in enumerate(model):
+        if rank and not budget:
+            return
+        if size <= n:
+            for rest in _words(n - size, model, budget - 1 if rank else budget):
+                yield (piece,) + rest
+
+
+def _exactly(n: int, model: _Model, k: int) -> Iterator[tuple[str, ...]]:
+    """Piece sequences of length n with exactly k longer pieces."""
+    short = model[0][0]
+    return (w for w in _words(n, model, k) if len(w) - w.count(short) == k)
 
 
 def enumerate_tilings(n: int, *, cap: int = DEFAULT_CAP) -> list[Tiling]:
     """All tilings of length n, in lexicographic word order (r < d < t)."""
     _check_cap(n, cap)
-    return [Tiling(p) for p in _tilings(n, None)]
+    return [Tiling(p) for p in _words(n, _PLAIN, n)]
 
 
 def enumerate_restricted(n: int, max_longer: int, *, cap: int = DEFAULT_CAP) -> list[Tiling]:
@@ -147,7 +134,7 @@ def enumerate_restricted(n: int, max_longer: int, *, cap: int = DEFAULT_CAP) -> 
     _check_cap(n, cap)
     if max_longer < 0:
         return []
-    return [Tiling(p) for p in _tilings(n, max_longer)]
+    return [Tiling(p) for p in _words(n, _PLAIN, max_longer)]
 
 
 def weight_distribution(tilings: Iterable[Tiling | ColoredTiling]) -> Polynomial:
@@ -156,27 +143,12 @@ def weight_distribution(tilings: Iterable[Tiling | ColoredTiling]) -> Polynomial
     return Polynomial.from_terms(counts)
 
 
-def _colored(n: int, budget: int) -> Iterator[tuple[str, ...]]:
-    if n == 0:
-        if budget == 0:
-            yield ()
-        return
-    for rest in _colored(n - 1, budget):
-        yield (BLACK,) + rest
-    if budget > 0:
-        for rest in _colored(n - 1, budget - 1):
-            yield (WHITE,) + rest
-        if n >= 2:
-            for rest in _colored(n - 2, budget - 1):
-                yield (COLORED_DOMINO,) + rest
-
-
 def enumerate_colored(n: int, i: int, *, cap: int = DEFAULT_CAP) -> list[ColoredTiling]:
     """Colored tilings of length n with white squares + dominos == i."""
     _check_cap(n, cap)
     if i < 0:
         return []
-    return [ColoredTiling(p) for p in _colored(n, i)]
+    return [ColoredTiling(p) for p in _exactly(n, _COLORED, i)]
 
 
 colored_weight_distribution = weight_distribution
@@ -197,8 +169,7 @@ def exact_longer_distribution(n: int, k: int, *, cap: int = DEFAULT_CAP) -> Poly
     _check_cap(n, cap)
     if k < 0:
         return Polynomial()
-    members = (Tiling(p) for p in _tilings(n, k))
-    return weight_distribution(t for t in members if t.longer_pieces == k)
+    return weight_distribution(Tiling(p) for p in _exactly(n, _PLAIN, k))
 
 
 def overshoot_distribution(n: int, s: int, *, cap: int = DEFAULT_CAP) -> Polynomial:
@@ -212,9 +183,6 @@ def overshoot_distribution(n: int, s: int, *, cap: int = DEFAULT_CAP) -> Polynom
         raise ValueError(f"overshoot level must be >= 0, got {s}")
     length = n + 2 * s
     _check_cap(length, cap)
-    members = (Tiling(p) for p in _tilings(length, s + 1))
-    return weight_distribution(
-        t
-        for t in members
-        if t.longer_pieces == s + 1 and t.pieces and t.pieces[-1] != SQUARE
-    )
+    # s + 1 >= 1 longer pieces, so every member is non-empty
+    members = _exactly(length, _PLAIN, s + 1)
+    return weight_distribution(Tiling(p) for p in members if p[-1] != SQUARE)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -290,3 +293,31 @@ def test_repeated_invocations_are_byte_identical(capsys, argv):
     second = run_cli(capsys, *argv)
     assert first == second
     assert first[0] == 0
+
+
+# ----------------------------------------------------------------------
+# a reader that stops early
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["verify all --format csv", "verify all --format json", "compute trib-poly 3000"],
+)
+def test_closed_stdout_exits_one_quietly(command):
+    fcntl = pytest.importorskip("fcntl")
+    read_end, write_end = os.pipe()
+    if hasattr(fcntl, "F_SETPIPE_SZ"):
+        # a pipe smaller than one stdout buffer: the command is still
+        # writing when the reader closes, however fast it runs
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tribpoly", *command.split()],
+        stdout=write_end,
+        stderr=subprocess.PIPE,
+    )
+    os.close(write_end)
+    assert len(os.read(read_end, 10)) == 10
+    os.close(read_end)
+    _, err = proc.communicate(timeout=300)
+    assert proc.returncode == 1
+    assert err == b""

@@ -27,6 +27,9 @@ GOLDEN = {
     "compute r-poly 2 3 --format json": "a4a709f3167f2036",
     "compute r-poly 40 7 --format json": "9160110867b92977",
     "enumerate 5 --max-longer 1 --format csv": "829d1feb06eeb966",
+    "enumerate 7": "fbceedff6a0e6d23",
+    "enumerate 6 --format json": "3f3ee1f86135278a",
+    "enumerate 8 --max-longer 2 --format csv": "bb5b44758229b7b2",
 }
 
 
@@ -43,3 +46,17 @@ def test_cli_output_is_pinned(capsys, command):
     assert err == ""
     digest = hashlib.sha256(_without_elapsed(out).encode()).hexdigest()
     assert digest.startswith(GOLDEN[command])
+
+
+if __name__ == "__main__":
+    # print the GOLDEN table for the code on the path, ready to paste:
+    # PYTHONPATH=src python tests/test_cli_golden.py
+    import contextlib
+    import io
+
+    for command in GOLDEN:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli.main(command.split())
+        digest = hashlib.sha256(_without_elapsed(out.getvalue()).encode()).hexdigest()
+        print(f'    "{command}": "{digest[:16]}",')

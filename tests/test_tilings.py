@@ -101,6 +101,11 @@ def test_colored_enumeration():
     assert {m.word() for m in members} == {"D", "WB", "BW"}
     assert len(members) == 3
     assert colored_weight_distribution(members) == Polynomial.from_terms({3: 2, 0: 1})
+    # word order B < W < D
+    assert [m.word() for m in members] == ["BW", "WB", "D"]
+    words = [m.word() for m in enumerate_colored(4, 2)]
+    assert words[:5] == ["BBWW", "BWBW", "BWWB", "BWD", "BDW"]
+    assert words[-1] == "DD"
 
 
 def test_colored_distribution_matches_triangle():
