@@ -1,6 +1,10 @@
 """Command-line interface: compute family members, enumerate tilings,
 expand generating functions, and verify the identity catalog.
 
+Each subcommand computes its result once and hands three views to
+``_write``, the one writer: text lines, a JSON document as a callable, and
+CSV rows as a generator, so that only the view asked for is built.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 All results go to stdout; diagnostics go to stderr.  A stdout closed
 before all output is written (``tribpoly verify all | head``) exits 1
@@ -11,10 +15,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import identities, tilings
 from . import tribonacci as trib
@@ -113,6 +118,19 @@ def _fail_usage(message: str) -> int:
     return 2
 
 
+def _write(fmt: str, lines: Iterable, doc: Callable, header: Sequence, rows: Iterable) -> None:
+    """Print the view that ``fmt`` names: ``lines``, ``doc()``, or ``header`` and ``rows``."""
+    if fmt == "text":
+        for line in lines:
+            print(line)
+    elif fmt == "json":
+        print(json.dumps(doc(), indent=2))
+    else:
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _cmd_compute(args: argparse.Namespace) -> int:
     name, arity = FAMILIES[args.family]
     if len(args.indices) != arity:
@@ -124,21 +142,14 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail_usage(str(exc))
     poly = isinstance(value, Polynomial)
-    if args.format == "text":
-        print(value)
-    elif args.format == "json":
-        payload = {"family": args.family, "indices": list(args.indices)}
-        if poly:
-            payload["coeffs"] = value.to_coeff_strings()
-        else:
-            payload["value"] = str(value)
-        print(json.dumps(payload, indent=2))
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        if poly:
-            writer.writerows([("exponent", "coefficient"), *enumerate(value.coeffs)])
-        else:
-            writer.writerows([("value",), (value,)])
+    key, shown = ("coeffs", value.to_coeff_strings) if poly else ("value", value.__str__)
+    _write(
+        args.format,
+        [value],
+        lambda: {"family": args.family, "indices": list(args.indices), key: shown()},
+        ("exponent", "coefficient") if poly else ("value",),
+        enumerate(value.coeffs) if poly else [(value,)],
+    )
     return 0
 
 
@@ -150,32 +161,21 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             members = tilings.enumerate_tilings(args.n, cap=args.cap)
     except (ValueError, tilings.EnumerationCapError) as exc:
         return _fail_usage(str(exc))
+    words = [m.word() for m in members]
     distribution = tilings.weight_distribution(members)
-    if args.format == "text":
-        for member in members:
-            print(member.word())
-        print(f"count: {len(members)}")
-        print(f"weight: {distribution}")
-    elif args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "n": args.n,
-                    "max_longer": args.max_longer,
-                    "count": len(members),
-                    "tilings": [m.word() for m in members],
-                    "weight": {"coeffs": distribution.to_coeff_strings()},
-                },
-                indent=2,
-            )
-        )
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["tiling", "squares", "dominos", "trominos", "weight_exponent"])
-        for member in members:
-            writer.writerow(
-                [member.word(), member.squares, member.dominos, member.trominos, member.weight_exponent]
-            )
+    _write(
+        args.format,
+        [*words, f"count: {len(words)}", f"weight: {distribution}"],
+        lambda: {
+            "n": args.n,
+            "max_longer": args.max_longer,
+            "count": len(words),
+            "tilings": words,
+            "weight": {"coeffs": distribution.to_coeff_strings()},
+        },
+        ("tiling", "squares", "dominos", "trominos", "weight_exponent"),
+        ((w, m.squares, m.dominos, m.trominos, m.weight_exponent) for w, m in zip(words, members)),
+    )
     return 0
 
 
@@ -192,48 +192,37 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     )
     wanted = None if args.identity == "ALL" else [args.identity]
     reports = identities.run_grid(config, wanted)
-    summary = identities.summarize(reports)
     ok = identities.all_passed(reports)
-
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "reports": [r.to_json_dict() for r in reports],
-                    "summary": summary,
-                    "ok": ok,
-                },
-                indent=2,
-            )
-        )
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["identity_id", *_PARAM_COLUMNS, "passed", "elapsed_ms"])
-        for r in reports:
-            if r.status not in (identities.PASSED, identities.FAILED):
-                continue
-            row = [r.identity_id]
-            row.extend(r.params.get(col, "") for col in _PARAM_COLUMNS)
-            row.extend([str(r.passed).lower(), f"{r.elapsed_ms:.3f}"])
-            writer.writerow(row)
-    else:
-        by_id: dict[str, dict[str, int]] = {}
-        for r in reports:
-            by_id.setdefault(r.identity_id, dict.fromkeys(identities.summarize([]), 0))
-            by_id[r.identity_id][r.status] += 1
-        for identity_id, counts in by_id.items():
-            print(
-                f"{identity_id}: {counts['passed']} passed, {counts['failed']} failed, "
-                f"{counts['filtered']} filtered, {counts['resource_limited']} resource-limited"
-            )
-        for r in reports:
-            if r.status == identities.FAILED:
-                point = " ".join(f"{k}={v}" for k, v in r.params.items())
-                print(f"FAIL {r.identity_id} {point}")
-                print(f"  lhs: {r.lhs}")
-                print(f"  rhs: {r.rhs}")
-        print(f"overall: {'PASS' if ok else 'FAIL'}")
+    _write(
+        args.format,
+        _verify_lines(reports, ok),
+        lambda: {
+            "reports": [r.to_json_dict() for r in reports],
+            "summary": identities.summarize(reports),
+            "ok": ok,
+        },
+        ("identity_id", *_PARAM_COLUMNS, "passed", "elapsed_ms"),
+        (
+            [r.identity_id, *(r.params.get(col, "") for col in _PARAM_COLUMNS)]
+            + [str(r.passed).lower(), f"{r.elapsed_ms:.3f}"]
+            for r in reports
+            if r.status in (identities.PASSED, identities.FAILED)
+        ),
+    )
     return 0 if ok else 1
+
+
+def _verify_lines(reports: Sequence[identities.IdentityReport], ok: bool) -> Iterator[str]:
+    """The text view of a verify run: each identity's status counts, each
+    failed point with its two sides, then the verdict."""
+    for identity_id, group in itertools.groupby(reports, key=lambda r: r.identity_id):
+        counts = identities.summarize(list(group)).items()
+        yield f"{identity_id}: " + ", ".join(f"{n} {s.replace('_', '-')}" for s, n in counts)
+    for r in reports:
+        if r.status == identities.FAILED:
+            point = " ".join(f"{k}={v}" for k, v in r.params.items())
+            yield f"FAIL {r.identity_id} {point}\n  lhs: {r.lhs}\n  rhs: {r.rhs}"
+    yield f"overall: {'PASS' if ok else 'FAIL'}"
 
 
 def _cmd_gf(args: argparse.Namespace) -> int:
@@ -244,16 +233,8 @@ def _cmd_gf(args: argparse.Namespace) -> int:
             f"order {args.order} is below the series offset {2 * args.s + 1}; nothing to show"
         )
     series = identities.closed_form_generating_series(args.s, args.order, x1=args.x1)
-    if args.format == "text":
-        for coefficient in series.coeffs:
-            print(coefficient)
-    elif args.format == "json":
-        print(json.dumps(series.to_json_dict(), indent=2))
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["z_power", "coefficient"])
-        for power, coefficient in enumerate(series.coeffs):
-            writer.writerow([power, str(coefficient)])
+    coeffs = series.coeffs
+    _write(args.format, coeffs, series.to_json_dict, ("z_power", "coefficient"), enumerate(coeffs))
     return 0
 
 
@@ -267,7 +248,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BrokenPipeError:
         # the reader is gone; send what is still buffered to devnull, so
         # the flush at exit cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 1
 
 

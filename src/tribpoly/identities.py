@@ -43,10 +43,13 @@ class IdentityReport:
     identity_id: str
     params: dict[str, int]
     status: str
-    passed: bool
     elapsed_ms: float
     lhs: str | None = None
     rhs: str | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.status == PASSED
 
     def to_json_dict(self) -> dict:
         out: dict = {
@@ -114,19 +117,17 @@ def _identity(identity_id: str, precondition: Callable[..., bool], **axes: objec
                 args += tuple(options.pop(n) for n in names[len(args) :] if n in options)
             params = dict(zip(names, args))
             if not precondition(*args):
-                return IdentityReport(identity_id, params, FILTERED, False, 0.0)
+                return IdentityReport(identity_id, params, FILTERED, 0.0)
             started = time.perf_counter()
             try:
                 lhs, rhs, *holds = sides(*args, **options)
             except tilings.EnumerationCapError:
                 elapsed = (time.perf_counter() - started) * 1000.0
-                return IdentityReport(identity_id, params, RESOURCE_LIMITED, False, elapsed)
+                return IdentityReport(identity_id, params, RESOURCE_LIMITED, elapsed)
             elapsed = (time.perf_counter() - started) * 1000.0
             if lhs == rhs and all(holds):
-                return IdentityReport(identity_id, params, PASSED, True, elapsed)
-            return IdentityReport(
-                identity_id, params, FAILED, False, elapsed, lhs=str(lhs), rhs=str(rhs)
-            )
+                return IdentityReport(identity_id, params, PASSED, elapsed)
+            return IdentityReport(identity_id, params, FAILED, elapsed, lhs=str(lhs), rhs=str(rhs))
 
         CATALOG[identity_id] = Identity(identity_id, check, names, axes)
         return check

@@ -37,14 +37,6 @@ class Polynomial:
     # constructors
 
     @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "Polynomial":
-        return cls((1,))
-
-    @classmethod
     def monomial(cls, coefficient: int, exponent: int) -> "Polynomial":
         """``coefficient * x**exponent``."""
         if exponent < 0:

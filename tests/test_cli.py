@@ -321,3 +321,16 @@ def test_closed_stdout_exits_one_quietly(command):
     _, err = proc.communicate(timeout=300)
     assert proc.returncode == 1
     assert err == b""
+
+
+def test_closed_stdout_leaks_no_descriptor(monkeypatch):
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("needs /proc/self/fd to count open descriptors")
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(3):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert cli.main(["compute", "trib-poly", "300"]) == 1
+    assert len(os.listdir("/proc/self/fd")) == before

@@ -1,13 +1,14 @@
 """CLI output pinned byte for byte, apart from elapsed_ms: each command's
 stdout, with the elapsed_ms JSON lines and CSV column dropped, hashes to
-the recorded prefix."""
+the recorded prefix.  GOLDEN covers every subcommand in every format;
+FAILING_VERIFY pins a verify that fails, in every format."""
 
 import hashlib
 import re
 
 import pytest
 
-from tribpoly import cli
+from tribpoly import Polynomial, cli, tribonacci as trib
 
 # command -> sha256 prefix of its stdout without elapsed_ms
 GOLDEN = {
@@ -30,7 +31,27 @@ GOLDEN = {
     "enumerate 7": "fbceedff6a0e6d23",
     "enumerate 6 --format json": "3f3ee1f86135278a",
     "enumerate 8 --max-longer 2 --format csv": "bb5b44758229b7b2",
+    "compute trib-poly 12": "0d9288958d5aa06a",
+    "compute incomplete-number 30 6": "6c41c106ebdc8b13",
+    "compute incomplete-poly 15 4 --format csv": "147324a4cbd557e6",
+    "compute trib-number 60 --format csv": "1a749e3268288aa9",
+    "gf --s 2 --order 20": "5900484b8abb7710",
+    "gf --s 1 --order 12 --x1 --format json": "d3d2199e8abdf6cc",
 }
+
+# format -> sha256 prefix of FAILING_COMMAND's stdout without elapsed_ms,
+# with overshoot_poly off by one at (n, s) = (5, 0)
+FAILING_COMMAND = "verify eq12 --n 1..8 --s 0..1 --format"
+FAILING_VERIFY = {
+    "text": "9bba4bc9c8e2853a",
+    "json": "22404aeb7d11b6f3",
+    "csv": "eb38429cb20182da",
+}
+
+
+def _overshoot_off_by_one(n, s, real=trib.overshoot_poly):
+    value = real(n, s)
+    return value + Polynomial((1,)) if (n, s) == (5, 0) else value
 
 
 def _without_elapsed(out):
@@ -48,15 +69,32 @@ def test_cli_output_is_pinned(capsys, command):
     assert digest.startswith(GOLDEN[command])
 
 
+@pytest.mark.parametrize("fmt", FAILING_VERIFY)
+def test_failing_verify_output_is_pinned(capsys, monkeypatch, fmt):
+    monkeypatch.setattr(trib, "overshoot_poly", _overshoot_off_by_one)
+    assert cli.main([*FAILING_COMMAND.split(), fmt]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    digest = hashlib.sha256(_without_elapsed(out).encode()).hexdigest()
+    assert digest.startswith(FAILING_VERIFY[fmt])
+
+
 if __name__ == "__main__":
-    # print the GOLDEN table for the code on the path, ready to paste:
-    # PYTHONPATH=src python tests/test_cli_golden.py
+    # print the GOLDEN and FAILING_VERIFY tables for the code on the path,
+    # ready to paste: PYTHONPATH=src python tests/test_cli_golden.py
     import contextlib
     import io
+    from unittest import mock
 
-    for command in GOLDEN:
+    def row(key, argv):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            cli.main(command.split())
+            cli.main(argv)
         digest = hashlib.sha256(_without_elapsed(out.getvalue()).encode()).hexdigest()
-        print(f'    "{command}": "{digest[:16]}",')
+        print(f'    "{key}": "{digest[:16]}",')
+
+    for command in GOLDEN:
+        row(command, command.split())
+    with mock.patch.object(trib, "overshoot_poly", _overshoot_off_by_one):
+        for fmt in FAILING_VERIFY:
+            row(fmt, [*FAILING_COMMAND.split(), fmt])
