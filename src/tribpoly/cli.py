@@ -162,21 +162,28 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     except (ValueError, tilings.EnumerationCapError) as exc:
         return _fail_usage(str(exc))
     words = [m.word() for m in members]
-    distribution = tilings.weight_distribution(members)
     _write(
         args.format,
-        [*words, f"count: {len(words)}", f"weight: {distribution}"],
+        _enumerate_lines(words, members),
         lambda: {
             "n": args.n,
             "max_longer": args.max_longer,
             "count": len(words),
             "tilings": words,
-            "weight": {"coeffs": distribution.to_coeff_strings()},
+            "weight": {"coeffs": tilings.weight_distribution(members).to_coeff_strings()},
         },
         ("tiling", "squares", "dominos", "trominos", "weight_exponent"),
         ((w, m.squares, m.dominos, m.trominos, m.weight_exponent) for w, m in zip(words, members)),
     )
     return 0
+
+
+def _enumerate_lines(words: list[str], members: Sequence) -> Iterator[str]:
+    """The text view of an enumeration: each tiling, the count, then the
+    weight distribution, which only this view and the JSON one show."""
+    yield from words
+    yield f"count: {len(words)}"
+    yield f"weight: {tilings.weight_distribution(members)}"
 
 
 _PARAM_COLUMNS = ("n", "s", "h", "order")
@@ -241,6 +248,11 @@ def _cmd_gf(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Python (3.10.7 on) refuses str(int) past 4,300 digits, and family
+    # values get longer; lift that limit for this call only, if there is one
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digit_limit:
+        sys.set_int_max_str_digits(0)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
@@ -251,6 +263,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         with open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 1
+    finally:
+        if digit_limit:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -310,11 +310,16 @@ def verify_thm1(n: int, s: int, *, cap: int = tilings.DEFAULT_CAP):
 
 def overshoot_generating_series(s: int, order: int) -> TruncatedSeries:
     """z^2 * ((x + z) / (1 - x^2 z))^(s+1); its z^n coefficient is
-    ``overshoot_poly(n, s)``."""
+    ``overshoot_poly(n, s)``.
+
+    The powers are taken before the division, as (x + z)^(s+1) over
+    (1 - x^2 z)^(s+1): both are z-polynomials of degree s + 1, so the one
+    expansion multiplies only short series by dense ones.
+    """
     if s < 0:
         raise ValueError(f"overshoot level must be >= 0, got {s}")
-    frac = rational_expand(_series([X, ONE], order), _series([ONE, -(X * X)], order))
-    return (frac ** (s + 1)).shifted(2)
+    numerator = _series([X, ONE], order) ** (s + 1)
+    return rational_expand(numerator, _series([ONE, -(X * X)], order) ** (s + 1)).shifted(2)
 
 
 def direct_generating_series(s: int, order: int, *, x1: bool = False) -> TruncatedSeries:
@@ -338,6 +343,13 @@ def closed_form_generating_series(
 ) -> TruncatedSeries:
     """Rational closed form of the level-s generating function, expanded.
 
+    The paper's form is head(z) minus the overshoot series, over
+    1 - x^2 z - x z^2 - z^3.  Its overshoot denominator (1 - x^2 z)^(s+1) is
+    cleared before the one expansion: (head - overshoot) * (1 - x^2 z)^(s+1)
+    is head * (1 - x^2 z)^(s+1) - z^2 (x + z)^(s+1), a z-polynomial of degree
+    s + 3.  The truncated product equals the true one up to the order, so
+    the cancellation is exact, and numerator and denominator are both short.
+
     ``z2_offset`` perturbs the z^2 coefficient of the numerator; the catalog
     uses it as a regression control (the perturbed form must not match).
     """
@@ -346,9 +358,8 @@ def closed_form_generating_series(
     if x1:
         tn = trib.tribonacci_number
         head = [tn(2 * s + 1), tn(2 * s - 1) + tn(2 * s), tn(2 * s) + z2_offset]
-        tail = (
-            rational_expand(_series([1, 1], order), _series([1, -1], order)) ** (s + 1)
-        ).shifted(2)
+        cleared = _series([1, -1], order) ** (s + 1)
+        tail = rational_expand(_series([1, 1], order) ** (s + 1), cleared).shifted(2)
         denominator = _series([1, -1, -1, -1], order)
     else:
         tp = trib.tribonacci_poly
@@ -357,9 +368,11 @@ def closed_form_generating_series(
             tp(2 * s - 1) + tp(2 * s).times_monomial(1, 1),
             tp(2 * s) + z2_offset,
         ]
+        cleared = _series([ONE, -(X * X)], order) ** (s + 1)
         tail = overshoot_generating_series(s, order)
         denominator = _series([ONE, -(X * X), -X, -ONE], order)
-    return rational_expand(_series(head, order) - tail, denominator).shifted(2 * s + 1)
+    numerator = cleared * (_series(head, order) - tail)
+    return rational_expand(numerator, cleared * denominator).shifted(2 * s + 1)
 
 
 @_identity("THM2", lambda s, order: s >= 0 and order >= 2 * s + 1, s=(0, 4), order=25)

@@ -187,5 +187,11 @@ class TruncatedSeries:
 
 
 def rational_expand(numerator: TruncatedSeries, denominator: TruncatedSeries) -> TruncatedSeries:
-    """Expand numerator / denominator; the denominator's constant term must be 1."""
+    """Expand numerator / denominator; the denominator's constant term must be 1.
+
+    Cheap when both are short, nonzero only in their first few z-powers:
+    the inverse then sums few terms per coefficient, and the product skips
+    the numerator's zero coefficients.  Clear dense denominators before
+    calling it, as the generating functions in ``identities`` do.
+    """
     return numerator * denominator.inverse()

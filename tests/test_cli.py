@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from tribpoly import Polynomial, cli, tribonacci as trib
+from tribpoly import Polynomial, cli, tilings, tribonacci as trib
 
 RESTRICTED_5_1_CSV = (
     "tiling,squares,dominos,trominos,weight_exponent\n"
@@ -93,6 +93,36 @@ def test_compute_unknown_family_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.fixture
+def int_digit_limit():
+    """Python's int-to-str digit limit at a known value, restored afterwards."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4321)
+    yield 4321
+    sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_compute_prints_values_past_the_int_digit_limit(capsys, int_digit_limit, fmt):
+    value = trib.tribonacci_number(20000)
+    code, out, err = run_cli(capsys, "compute", "trib-number", "20000", "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        digits = json.loads(out)["value"]
+    elif fmt == "csv":
+        header, digits = out.split("\n", 1)
+        assert header == "value"
+    else:
+        digits = out
+    digits = digits.rstrip("\n")
+    # checked by size and last digits: turning the string back into an int
+    # would hit the same limit
+    assert digits.isdigit() and len(digits) > int_digit_limit
+    assert 10 ** (len(digits) - 1) <= value < 10 ** len(digits)
+    assert int(digits[-18:]) == value % 10**18
+    assert sys.get_int_max_str_digits() == int_digit_limit
+
+
 # ----------------------------------------------------------------------
 # enumerate
 
@@ -129,6 +159,16 @@ def test_enumerate_over_cap(capsys):
     assert code == 2
     assert "cap" in err
     assert run_cli(capsys, "enumerate", "12", "--cap", "12")[0] == 0
+
+
+def test_enumerate_csv_builds_no_weight_distribution(capsys, monkeypatch):
+    def unused(members):
+        raise AssertionError("the csv view shows no weight distribution")
+
+    monkeypatch.setattr(tilings, "weight_distribution", unused)
+    code, out, _ = run_cli(capsys, "enumerate", "6", "--format", "csv")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 24  # header, then every tiling of length 6
 
 
 # ----------------------------------------------------------------------

@@ -37,6 +37,8 @@ GOLDEN = {
     "compute trib-number 60 --format csv": "1a749e3268288aa9",
     "gf --s 2 --order 20": "5900484b8abb7710",
     "gf --s 1 --order 12 --x1 --format json": "d3d2199e8abdf6cc",
+    "gf --s 4 --order 120 --format json": "1bb5902bd6f2a48c",
+    "gf --s 4 --order 120 --x1 --format csv": "a9eea911b534fc66",
 }
 
 # format -> sha256 prefix of FAILING_COMMAND's stdout without elapsed_ms,

@@ -181,3 +181,15 @@ def test_overshoot_series_from_order_zero():
         for order in range(4):
             series = ident.overshoot_generating_series(s, order)
             assert list(series.coeffs) == [trib.overshoot_poly(k, s) for k in range(order + 1)]
+
+
+@pytest.mark.parametrize("s", range(5))
+def test_generating_functions_hold_at_order_120(s):
+    assert verify_thm2(s, 120).passed
+    assert verify_cor2(s, 120).passed
+
+
+@pytest.mark.parametrize("s", range(5))
+def test_overshoot_series_at_order_120(s):
+    series = ident.overshoot_generating_series(s, 120)
+    assert list(series.coeffs) == [trib.overshoot_poly(k, s) for k in range(121)]

@@ -18,6 +18,11 @@ series5 = st.lists(small_polys, max_size=6).map(lambda cs: TruncatedSeries(cs, 5
 units5 = st.lists(small_polys, min_size=0, max_size=5).map(
     lambda tail: TruncatedSeries([ONE, *tail], 5)
 )
+# short: at most three leading terms, the rest of the order zero
+short5 = st.lists(small_polys, max_size=3).map(lambda cs: TruncatedSeries(cs, 5))
+short_units5 = st.lists(small_polys, max_size=2).map(
+    lambda tail: TruncatedSeries([ONE, *tail], 5)
+)
 
 
 def test_construction_pads_and_validates():
@@ -138,3 +143,9 @@ def test_truncation_coherence(a, b):
 @given(units5)
 def test_inverse_truncation_coherence(u):
     assert u.inverse().truncated(3) == u.truncated(3).inverse()
+
+
+@given(short5, short_units5, short_units5)
+def test_common_factor_cancels_in_rational_expand(a, b, d):
+    # clearing a denominator multiplies numerator and denominator alike
+    assert rational_expand(a * d, b * d) == rational_expand(a, b)
