@@ -327,15 +327,9 @@ def direct_generating_series(s: int, order: int, *, x1: bool = False) -> Truncat
     straight from the defining formulas; coefficients are numbers when x1."""
     if s < 0:
         raise ValueError(f"restriction level must be >= 0, got {s}")
-    terms: list[Polynomial | int] = []
-    for k in range(order + 1):
-        if k < 2 * s + 1:
-            terms.append(ZERO)
-        elif x1:
-            terms.append(trib.incomplete_tribonacci_number(k, s))
-        else:
-            terms.append(trib.incomplete_tribonacci_poly(k, s))
-    return TruncatedSeries(terms, order)
+    family = trib.incomplete_tribonacci_number if x1 else trib.incomplete_tribonacci_poly
+    start = 2 * s + 1  # the lowest index with a level-s member
+    return _series([ZERO] * start + [family(k, s) for k in range(start, order + 1)], order)
 
 
 def closed_form_generating_series(
@@ -359,7 +353,7 @@ def closed_form_generating_series(
         tn = trib.tribonacci_number
         head = [tn(2 * s + 1), tn(2 * s - 1) + tn(2 * s), tn(2 * s) + z2_offset]
         cleared = _series([1, -1], order) ** (s + 1)
-        tail = rational_expand(_series([1, 1], order) ** (s + 1), cleared).shifted(2)
+        overshoot = (_series([1, 1], order) ** (s + 1)).shifted(2)
         denominator = _series([1, -1, -1, -1], order)
     else:
         tp = trib.tribonacci_poly
@@ -369,9 +363,9 @@ def closed_form_generating_series(
             tp(2 * s) + z2_offset,
         ]
         cleared = _series([ONE, -(X * X)], order) ** (s + 1)
-        tail = overshoot_generating_series(s, order)
+        overshoot = cleared * overshoot_generating_series(s, order)
         denominator = _series([ONE, -(X * X), -X, -ONE], order)
-    numerator = cleared * (_series(head, order) - tail)
+    numerator = cleared * _series(head, order) - overshoot
     return rational_expand(numerator, cleared * denominator).shifted(2 * s + 1)
 
 

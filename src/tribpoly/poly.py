@@ -39,11 +39,7 @@ class Polynomial:
     @classmethod
     def monomial(cls, coefficient: int, exponent: int) -> "Polynomial":
         """``coefficient * x**exponent``."""
-        if exponent < 0:
-            raise ValueError(f"monomial exponent must be >= 0, got {exponent}")
-        if coefficient == 0:
-            return cls()
-        return cls((0,) * exponent + (coefficient,))
+        return cls((1,)).times_monomial(coefficient, exponent)
 
     @classmethod
     def from_terms(cls, terms: Mapping[int, int]) -> "Polynomial":

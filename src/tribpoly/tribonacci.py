@@ -33,10 +33,10 @@ def binom(a: int, b: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# memoized recurrences; the lock keeps cache extension safe under threads
+# a memo of the polynomials only; the lock makes each extension step (read
+# three members, append one) atomic, and computed members are read without it
 
 _cache_lock = threading.Lock()
-_numbers: list[int] = [0, 1, 1]
 _polys: list[Polynomial] = [ZERO, ONE, _X_SQUARED]
 
 
@@ -46,10 +46,10 @@ def tribonacci_number(n: int) -> int:
         return 0
     if n < -1:
         raise ValueError(f"tribonacci index must be >= -1, got {n}")
-    with _cache_lock:
-        while len(_numbers) <= n:
-            _numbers.append(_numbers[-1] + _numbers[-2] + _numbers[-3])
-        return _numbers[n]
+    a, b, c = 0, 1, 1  # the numbers of index k, k + 1, k + 2, from k = 0
+    for _ in range(n):
+        a, b, c = b, c, a + b + c
+    return a
 
 
 def tribonacci_poly(n: int) -> Polynomial:
@@ -58,36 +58,33 @@ def tribonacci_poly(n: int) -> Polynomial:
         return ZERO
     if n < -1:
         raise ValueError(f"tribonacci index must be >= -1, got {n}")
-    with _cache_lock:
-        while len(_polys) <= n:
-            nxt = (
-                _polys[-1].times_monomial(1, 2)
-                + _polys[-2].times_monomial(1, 1)
-                + _polys[-3]
+    while len(_polys) <= n:
+        with _cache_lock:
+            _polys.append(
+                _polys[-1].times_monomial(1, 2) + _polys[-2].times_monomial(1, 1) + _polys[-3]
             )
-            _polys.append(nxt)
-        return _polys[n]
+    return _polys[n]
 
 
-def _add_triangle(terms: dict[int, int], n: int, i: int, weight: int = 1, shift: int = 0) -> None:
-    """Add ``weight * x^shift * B(n, i)`` into the exponent -> coefficient dict,
-    where B(n, i) = sum_j binom(i, j) binom(n-j, i) x^(2n-i-3j) is the
-    tribonacci-triangle entry: the weight of length-(n+i) tilings with
-    exactly i longer pieces.  Empty for i < 0 or n < i."""
-    for j in range(i + 1):
-        c = math.comb(i, j) * binom(n - j, i)  # 0 <= j <= i: no range check
-        if c:
-            e = 2 * n - i - 3 * j + shift
-            terms[e] = terms.get(e, 0) + weight * c
+def _triangle_sum(parts: Iterable[tuple[int, int, int, int]]) -> Polynomial:
+    """Sum of ``weight * x^shift * B(n, i)`` over the ``(n, i, weight, shift)``
+    parts.  B(n, i) = sum_j binom(i, j) binom(n-j, i) x^(2n-i-3j), the
+    tribonacci-triangle entry, weighs the length-(n+i) tilings with exactly
+    i longer pieces; it is zero for i < 0 or n < i."""
+    terms: dict[int, int] = {}
+    for n, i, weight, shift in parts:
+        for j in range(i + 1):
+            c = math.comb(i, j) * binom(n - j, i)  # 0 <= j <= i: no range check
+            if c:
+                e = 2 * n - i - 3 * j + shift
+                terms[e] = terms.get(e, 0) + weight * c
+    return Polynomial.from_terms(terms)
 
 
 def level_sum(n: int, weights: Iterable[int]) -> Polynomial:
     """Levels i = 0, 1, ... of the index-(n+1) double sum, level i weighted
     by ``weights[i]``; level i is B(n-i, i)."""
-    terms: dict[int, int] = {}
-    for i, weight in enumerate(weights):
-        _add_triangle(terms, n - i, i, weight)
-    return Polynomial.from_terms(terms)
+    return _triangle_sum((n - i, i, weight, 0) for i, weight in enumerate(weights))
 
 
 def tribonacci_poly_explicit(n: int) -> Polynomial:
@@ -107,9 +104,7 @@ def triangle_poly(n: int, i: int) -> Polynomial:
     Out-of-range (n, i) give the zero polynomial via the binomial conventions;
     evaluating at x = 1 gives the plain triangle entry.
     """
-    terms: dict[int, int] = {}
-    _add_triangle(terms, n, i)
-    return Polynomial.from_terms(terms)
+    return _triangle_sum([(n, i, 1, 0)])
 
 
 def _top_level(m: int, s: int) -> int:
@@ -162,8 +157,5 @@ def overshoot_poly(n: int, s: int) -> Polynomial:
         raise ValueError(f"overshoot index must be >= 0, got {n}")
     if s < 0:
         raise ValueError(f"overshoot level must be >= 0, got {s}")
-    terms: dict[int, int] = {}
     # remove the last longer piece: a domino (weight x) or a tromino (weight 1)
-    _add_triangle(terms, n + s - 2, s, shift=1)
-    _add_triangle(terms, n + s - 3, s)
-    return Polynomial.from_terms(terms)
+    return _triangle_sum([(n + s - 2, s, 1, 1), (n + s - 3, s, 1, 0)])

@@ -2,6 +2,7 @@ import threading
 
 import pytest
 
+from tribpoly import tribonacci as trib
 from tribpoly import (
     Polynomial,
     ZERO,
@@ -176,16 +177,50 @@ def test_overshoot_matches_generating_series():
             assert series.coeff(n) == overshoot_poly(n, s)
 
 
-def test_memoization_is_thread_safe():
-    results: list[list[int]] = []
+def test_memoization_is_thread_safe(monkeypatch):
+    # from the three seeds, so that the threads extend the memo together
+    monkeypatch.setattr(trib, "_polys", [ZERO, Polynomial((1,)), poly_of({2: 1})])
+    start = threading.Barrier(8)
+    results: list[tuple[list[int], list[Polynomial]]] = []
 
     def worker():
-        results.append([tribonacci_number(n) for n in range(120)])
+        start.wait()
+        top = tribonacci_poly(119)
+        polys = [tribonacci_poly(n) for n in range(119)] + [top]
+        results.append(([tribonacci_number(n) for n in range(120)], polys))
 
     threads = [threading.Thread(target=worker) for _ in range(8)]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
+    assert len(results) == 8
     assert all(r == results[0] for r in results)
-    assert results[0][:21] == T_NUMBERS
+    numbers, polys = results[0]
+    assert numbers[:21] == T_NUMBERS
+    assert [p.evaluate(1) for p in polys] == numbers
+    memo = trib._polys
+    assert len(memo) >= 120 and memo[:120] == polys
+    for n in range(3, len(memo)):
+        step = memo[n - 1].times_monomial(1, 2) + memo[n - 2].times_monomial(1, 1)
+        assert memo[n] == step + memo[n - 3]
+
+
+def test_memo_readers_never_wait():
+    k = 60
+    expected = tribonacci_poly(k)  # in the memo before the lock is taken
+    got = {}
+
+    def reader():
+        got["poly"] = tribonacci_poly(k)
+        got["number"] = tribonacci_number(300)
+
+    with trib._cache_lock:
+        thread = threading.Thread(target=reader, daemon=True)
+        thread.start()
+        thread.join(timeout=5)
+        finished = not thread.is_alive()
+    thread.join()
+    assert finished, "a memo reader waited on the extension lock"
+    assert got["poly"] == expected
+    assert got["number"] == tribonacci_poly(300).evaluate(1)
