@@ -10,6 +10,12 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 
+def _not_exact(value: object) -> TypeError:
+    # bool is an int subclass and harmless; floats would silently break
+    # exactness, so they are rejected outright.
+    return TypeError(f"polynomial coefficients must be exact integers, got {type(value).__name__}")
+
+
 class Polynomial:
     """Dense integer polynomial; ``coeffs[k]`` is the coefficient of ``x**k``.
 
@@ -23,15 +29,22 @@ class Polynomial:
     def __init__(self, coeffs: Iterable[int] = ()) -> None:
         stripped = list(coeffs)
         for c in stripped:
-            # bool is an int subclass and harmless; floats would silently
-            # break exactness, so they are rejected outright.
             if not isinstance(c, int):
-                raise TypeError(
-                    f"polynomial coefficients must be exact integers, got {type(c).__name__}"
-                )
+                raise _not_exact(c)
         while stripped and stripped[-1] == 0:
             stripped.pop()
         self._coeffs = tuple(stripped)
+
+    @classmethod
+    def _trusted(cls, coeffs: list[int]) -> "Polynomial":
+        """Package-internal constructor for a fresh list of ints that exact
+        arithmetic has just made: trailing zeros are stripped (in place) and
+        no coefficient is re-checked.  Public input goes through ``__init__``."""
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        poly = object.__new__(cls)
+        poly._coeffs = tuple(coeffs)
+        return poly
 
     # ------------------------------------------------------------------
     # constructors
@@ -106,15 +119,14 @@ class Polynomial:
         a, b = self._coeffs, rhs._coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return Polynomial(out)
+        out = [x + y for x, y in zip(a, b)]
+        out += a[len(b) :]
+        return Polynomial._trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self._coeffs)
+        return Polynomial._trusted([-c for c in self._coeffs])
 
     def __sub__(self, other: "Polynomial | int") -> "Polynomial":
         rhs = self._coerce(other)
@@ -130,19 +142,19 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial | int") -> "Polynomial":
         if isinstance(other, int):
-            return Polynomial(other * c for c in self._coeffs)
+            return Polynomial._trusted([other * c for c in self._coeffs])
         if not isinstance(other, Polynomial):
             return NotImplemented
         a, b = self._coeffs, other._coeffs
         if not a or not b:
             return Polynomial()
         out = [0] * (len(a) + len(b) - 1)
+        b_terms = [(j, bj) for j, bj in enumerate(b) if bj]
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] += ai * bj
-        return Polynomial(out)
+                for j, bj in b_terms:
+                    out[i + j] += ai * bj
+        return Polynomial._trusted(out)
 
     __rmul__ = __mul__
 
@@ -150,9 +162,11 @@ class Polynomial:
         """``coefficient * x**exponent * self`` without a full convolution."""
         if exponent < 0:
             raise ValueError(f"monomial exponent must be >= 0, got {exponent}")
+        if not isinstance(coefficient, int):
+            raise _not_exact(coefficient)
         if coefficient == 0 or not self._coeffs:
             return Polynomial()
-        return Polynomial((0,) * exponent + tuple(coefficient * c for c in self._coeffs))
+        return Polynomial._trusted([0] * exponent + [coefficient * c for c in self._coeffs])
 
     def evaluate(self, point: int) -> int:
         """Exact integer evaluation at ``x = point`` (Horner)."""
@@ -170,9 +184,8 @@ class Polynomial:
         if not self._coeffs:
             return Polynomial()
         out = [0] * ((len(self._coeffs) - 1) * m + 1)
-        for k, c in enumerate(self._coeffs):
-            out[k * m] = c
-        return Polynomial(out)
+        out[::m] = self._coeffs
+        return Polynomial._trusted(out)
 
     # ------------------------------------------------------------------
     # rendering / serialization

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import threading
+from itertools import zip_longest
 from typing import Iterable
 
 from .poly import ONE, Polynomial, ZERO
@@ -60,9 +61,11 @@ def tribonacci_poly(n: int) -> Polynomial:
         raise ValueError(f"tribonacci index must be >= -1, got {n}")
     while len(_polys) <= n:
         with _cache_lock:
-            _polys.append(
-                _polys[-1].times_monomial(1, 2) + _polys[-2].times_monomial(1, 1) + _polys[-3]
+            # x^2 T(k-1) + x T(k-2) + T(k-3), summed coefficient by coefficient
+            shifted = zip_longest(
+                (0, 0, *_polys[-1].coeffs), (0, *_polys[-2].coeffs), _polys[-3].coeffs, fillvalue=0
             )
+            _polys.append(Polynomial._trusted([a + b + c for a, b, c in shifted]))
     return _polys[n]
 
 
@@ -70,15 +73,26 @@ def _triangle_sum(parts: Iterable[tuple[int, int, int, int]]) -> Polynomial:
     """Sum of ``weight * x^shift * B(n, i)`` over the ``(n, i, weight, shift)``
     parts.  B(n, i) = sum_j binom(i, j) binom(n-j, i) x^(2n-i-3j), the
     tribonacci-triangle entry, weighs the length-(n+i) tilings with exactly
-    i longer pieces; it is zero for i < 0 or n < i."""
-    terms: dict[int, int] = {}
-    for n, i, weight, shift in parts:
-        for j in range(i + 1):
-            c = math.comb(i, j) * binom(n - j, i)  # 0 <= j <= i: no range check
-            if c:
-                e = 2 * n - i - 3 * j + shift
-                terms[e] = terms.get(e, 0) + weight * c
-    return Polynomial.from_terms(terms)
+    i longer pieces; it is zero for i < 0 or n < i.
+
+    The term of j is nonzero for 0 <= j <= min(i, n-i).  Its coefficient
+    c_j = binom(i, j) binom(n-j, i) is stepped, not recomputed:
+    c_(j+1) = c_j (i-j) (n-i-j) / ((j+1) (n-j)).  Each division is exact,
+    because c_j (i-j) (n-i-j) equals the integer c_(j+1) times the divisor
+    (n-j >= 1 at every step taken); the weight rides along in c_j."""
+    live = [(n, i, weight, shift) for n, i, weight, shift in parts if weight and 0 <= i <= n]
+    if not live:
+        return ZERO
+    out = [0] * (max(2 * n - i + shift for n, i, _, shift in live) + 1)
+    for n, i, weight, shift in live:
+        e = 2 * n - i + shift
+        c = weight * math.comb(n, i)
+        out[e] += c
+        for j in range(min(i, n - i)):
+            c = c * (i - j) * (n - i - j) // ((j + 1) * (n - j))
+            e -= 3
+            out[e] += c
+    return Polynomial._trusted(out)
 
 
 def level_sum(n: int, weights: Iterable[int]) -> Polynomial:

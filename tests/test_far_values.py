@@ -55,3 +55,9 @@ def test_numbers_match_oracle_past_the_cap():
         assert trib.tribonacci_number(n) == oracle.tribonacci_number(n)
         expected = oracle.incomplete_tribonacci_poly(n, n // 5, 1)
         assert trib.incomplete_tribonacci_number(n, n // 5) == expected
+
+
+def test_explicit_and_recurrence_routes_agree_at_the_big_index_size():
+    # the two routes share no code: the double sum against the memo's recurrence
+    n = 900
+    assert trib.tribonacci_poly_explicit(n) == trib.tribonacci_poly(n + 1)

@@ -1,3 +1,5 @@
+from itertools import zip_longest
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -63,6 +65,12 @@ def test_rejects_floats():
         Polynomial((1.0, 2))
     with pytest.raises(TypeError):
         Polynomial((1,)).evaluate(2.0)
+    with pytest.raises(TypeError):
+        Polynomial.from_terms({1: 0.5})
+    with pytest.raises(TypeError):
+        Polynomial((1, 2)).times_monomial(0.5, 1)
+    with pytest.raises(TypeError):
+        Polynomial.monomial(1.5, 2)
 
 
 def test_from_terms_validation():
@@ -123,3 +131,44 @@ def test_substitute_power_matches_evaluation(a, m, v):
 def test_operations_stay_canonical(a, b):
     for result in (a + b, a - b, a * b, -a, a.times_monomial(2, 3)):
         assert not result.coeffs or result.coeffs[-1] != 0
+
+
+def _canonical(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+int_lists = st.lists(st.integers(min_value=-(2**70), max_value=2**70), max_size=8)
+
+
+@given(
+    int_lists,
+    int_lists,
+    st.integers(min_value=-5, max_value=5),
+    st.integers(min_value=-5, max_value=5),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=1, max_value=4),
+)
+def test_arithmetic_matches_plain_list_reference(a, b, k, c, e, m):
+    pa, pb = Polynomial(a), Polynomial(b)
+    product = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            product[i + j] += x * y
+    substituted = [0] * (len(a) * m)
+    for i, x in enumerate(a):
+        substituted[i * m] = x
+    cases = [
+        (pa + pb, [x + y for x, y in zip_longest(a, b, fillvalue=0)]),
+        (pa - pb, [x - y for x, y in zip_longest(a, b, fillvalue=0)]),
+        (pa * pb, product),
+        (-pa, [-x for x in a]),
+        (pa * k, [k * x for x in a]),
+        (k * pa, [k * x for x in a]),
+        (pa.times_monomial(c, e), [0] * e + [c * x for x in a]),
+        (pa.substitute_power(m), substituted),
+    ]
+    for result, reference in cases:
+        assert result.coeffs == Polynomial(reference).coeffs == _canonical(reference)

@@ -1,6 +1,9 @@
+import math
 import threading
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from tribpoly import tribonacci as trib
 from tribpoly import (
@@ -224,3 +227,35 @@ def test_memo_readers_never_wait():
     assert finished, "a memo reader waited on the extension lock"
     assert got["poly"] == expected
     assert got["number"] == tribonacci_poly(300).evaluate(1)
+
+
+def triangle_sum_by_definition(parts):
+    terms: dict[int, int] = {}
+    for n, i, weight, shift in parts:
+        for j in range(i + 1):  # empty for i < 0
+            e = 2 * n - i - 3 * j + shift
+            lower = math.comb(n - j, i) if n - j >= 0 else 0  # zero for n - j < i
+            terms[e] = terms.get(e, 0) + weight * math.comb(i, j) * lower
+    return Polynomial.from_terms(terms)
+
+
+triangle_parts = st.tuples(
+    st.integers(min_value=-2, max_value=60),
+    st.integers(min_value=-2, max_value=40),
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=0, max_value=2),
+)
+
+
+@given(st.lists(triangle_parts, max_size=4))
+@example([(0, 0, 1, 0)])  # n = 0, i = 0
+@example([(7, 0, 2, 1)])  # i = 0: the single term x^(2n)
+@example([(9, 9, 1, 0)])  # n = i: only j = 0 survives
+@example([(5, 8, 3, 2)])  # n < i: zero
+@example([(0, 3, 1, 0)])  # n = 0 < i
+@example([(12, 4, 2, 1), (12, 4, -2, 1)])  # weights that cancel
+@example([(30, 10, 1, 1), (29, 10, 1, 0)])  # overshoot_poly's two parts
+def test_triangle_sum_matches_its_definition(parts):
+    result = trib._triangle_sum(parts)
+    assert result == triangle_sum_by_definition(parts)
+    assert not result.coeffs or result.coeffs[-1] != 0
