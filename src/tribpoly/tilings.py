@@ -6,16 +6,17 @@ order: plain ``r 1, d 2, t 3`` (square, domino, tromino) and colored
 short piece; ranks 1 and 2 are the "longer" pieces, each costing one unit
 of budget.  Rank k weighs x^(2 - k), so ``expand_colored`` maps rank to rank.
 
-Enumeration is intentionally naive, because these sets are the
-independent oracle against which the closed formulas are checked, and is
-therefore capped; raising the cap is a deliberate, explicit act.
+Enumeration is brute force: one depth-first walk visits every tiling once,
+and no formula is used, because these sets are the independent oracle
+against which the closed formulas are checked.  It is therefore capped;
+raising the cap is a deliberate, explicit act.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, TypeVar
 
 from .poly import Polynomial
 
@@ -56,7 +57,7 @@ def _count(*ranks: int, doc: str | None = None) -> property:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Word:
     """A piece sequence of one model; statistics are computed on demand."""
 
@@ -81,6 +82,7 @@ class _Word:
 class Tiling(_Word):
     """One tiling by squares, dominos and trominos."""
 
+    __slots__ = ()
     _model = _PLAIN
     squares = _count(0)
     dominos = _count(1)
@@ -91,6 +93,7 @@ class Tiling(_Word):
 class ColoredTiling(_Word):
     """Square-and-domino tiling with black/white squares."""
 
+    __slots__ = ()
     _model = _COLORED
     black_squares = _count(0)
     white_squares = _count(1)
@@ -100,33 +103,55 @@ class ColoredTiling(_Word):
     )
 
 
+_W = TypeVar("_W", bound=_Word)
+
 # ----------------------------------------------------------------------
 # enumeration; table order (r < d < t, B < W < D) makes it lexicographic
 
 
-def _words(n: int, model: _Model, budget: int) -> Iterator[tuple[str, ...]]:
-    """Piece sequences of length n with at most ``budget`` longer pieces."""
-    if n == 0:
-        yield ()
-        return
-    for rank, (piece, size) in enumerate(model):
-        if rank and not budget:
+def _words(n: int, cls: type[_W], budget: int, *, exact: bool = False) -> list[_W]:
+    """Words of ``cls``'s model of length n with at most ``budget`` longer
+    pieces, or exactly ``budget`` of them when ``exact``.
+
+    One depth-first walk over a shared path builds each word once, at its
+    leaf.  Every call keeps ``room >= need * left``: the room left can still
+    hold the longer pieces owed, so no branch is entered that ends in no word.
+    """
+    (short, _), *longer = cls._model
+    # cells each owed longer piece needs at least; nothing is owed unless exact
+    need = min(size for _, size in longer) if exact else 0
+    path: list[str] = []
+    out: list[_W] = []
+
+    def walk(room: int, left: int) -> None:
+        if not room:
+            out.append(cls(tuple(path)))
             return
-        if size <= n:
-            for rest in _words(n - size, model, budget - 1 if rank else budget):
-                yield (piece,) + rest
+        if room > need * left:
+            path.append(short)
+            walk(room - 1, left)
+            path.pop()
+        if left:
+            spare = room - need * (left - 1)
+            for piece, size in longer:
+                if size <= spare:
+                    path.append(piece)
+                    walk(room - size, left - 1)
+                    path.pop()
 
-
-def _exactly(n: int, model: _Model, k: int) -> Iterator[tuple[str, ...]]:
-    """Piece sequences of length n with exactly k longer pieces."""
-    short = model[0][0]
-    return (w for w in _words(n, model, k) if len(w) - w.count(short) == k)
+    if n >= need * budget:
+        walk(n, budget)
+    # walk's closure holds walk itself, and out; deleting the name breaks
+    # that cycle, so the words die with the caller's last reference and
+    # not at the next full collection
+    del walk
+    return out
 
 
 def enumerate_tilings(n: int, *, cap: int = DEFAULT_CAP) -> list[Tiling]:
     """All tilings of length n, in lexicographic word order (r < d < t)."""
     _check_cap(n, cap)
-    return [Tiling(p) for p in _words(n, _PLAIN, n)]
+    return _words(n, Tiling, n)
 
 
 def enumerate_restricted(n: int, max_longer: int, *, cap: int = DEFAULT_CAP) -> list[Tiling]:
@@ -134,7 +159,7 @@ def enumerate_restricted(n: int, max_longer: int, *, cap: int = DEFAULT_CAP) -> 
     _check_cap(n, cap)
     if max_longer < 0:
         return []
-    return [Tiling(p) for p in _words(n, _PLAIN, max_longer)]
+    return _words(n, Tiling, max_longer)
 
 
 def weight_distribution(tilings: Iterable[Tiling | ColoredTiling]) -> Polynomial:
@@ -148,7 +173,7 @@ def enumerate_colored(n: int, i: int, *, cap: int = DEFAULT_CAP) -> list[Colored
     _check_cap(n, cap)
     if i < 0:
         return []
-    return [ColoredTiling(p) for p in _exactly(n, _COLORED, i)]
+    return _words(n, ColoredTiling, i, exact=True)
 
 
 colored_weight_distribution = weight_distribution
@@ -169,7 +194,7 @@ def exact_longer_distribution(n: int, k: int, *, cap: int = DEFAULT_CAP) -> Poly
     _check_cap(n, cap)
     if k < 0:
         return Polynomial()
-    return weight_distribution(Tiling(p) for p in _exactly(n, _PLAIN, k))
+    return weight_distribution(_words(n, Tiling, k, exact=True))
 
 
 def overshoot_distribution(n: int, s: int, *, cap: int = DEFAULT_CAP) -> Polynomial:
@@ -184,5 +209,5 @@ def overshoot_distribution(n: int, s: int, *, cap: int = DEFAULT_CAP) -> Polynom
     length = n + 2 * s
     _check_cap(length, cap)
     # s + 1 >= 1 longer pieces, so every member is non-empty
-    members = _exactly(length, _PLAIN, s + 1)
-    return weight_distribution(Tiling(p) for p in members if p[-1] != SQUARE)
+    members = _words(length, Tiling, s + 1, exact=True)
+    return weight_distribution(t for t in members if t.pieces[-1] != SQUARE)

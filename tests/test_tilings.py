@@ -1,3 +1,8 @@
+import dataclasses
+import functools
+import itertools
+from collections import Counter
+
 import pytest
 
 from tribpoly import (
@@ -22,6 +27,44 @@ from tribpoly import (
 )
 
 _RANK = {"r": 0, "d": 1, "t": 2}
+
+# The reference enumeration: every piece sequence from itertools.product,
+# kept when its lengths sum to n, in rank order.  It shares no code with
+# the package's walk, and it is what the enumerators are checked against.
+_SIZES = {Tiling: {"r": 1, "d": 2, "t": 3}, ColoredTiling: {"B": 1, "W": 1, "D": 2}}
+_SQUARES = ("r", "B")
+_PLAIN_WEIGHT = {"r": 2, "d": 1, "t": 0}
+_REFERENCE_MAX = 10
+
+
+@functools.cache
+def _reference_words():
+    words = {}
+    for cls, sizes in _SIZES.items():
+        ranks = {piece: rank for rank, piece in enumerate(sizes)}
+        by_length = {n: [] for n in range(_REFERENCE_MAX + 1)}
+        for count in range(_REFERENCE_MAX + 1):
+            for word in itertools.product(sizes, repeat=count):
+                length = sum(sizes[p] for p in word)
+                if length <= _REFERENCE_MAX:
+                    by_length[length].append(word)
+        for n, found in by_length.items():
+            words[cls, n] = sorted(found, key=lambda w: [ranks[p] for p in w])
+    return words
+
+
+def _reference(cls, n, keep=lambda longer: True):
+    """Reference words of length n whose count of longer pieces passes ``keep``."""
+    return [w for w in _reference_words()[cls, n] if keep(sum(p not in _SQUARES for p in w))]
+
+
+def _reference_weight(words):
+    return Polynomial.from_terms(Counter(sum(_PLAIN_WEIGHT[p] for p in w) for w in words))
+
+
+def _pieces(members, cls):
+    assert all(type(m) is cls for m in members)
+    return [m.pieces for m in members]
 
 
 def test_length_three_listing():
@@ -178,3 +221,37 @@ def test_overshoot_distribution_example():
         overshoot_distribution(-1, 1)
     with pytest.raises(EnumerationCapError):
         overshoot_distribution(15, 2)
+
+
+def test_enumerators_match_the_product_reference():
+    for n in range(_REFERENCE_MAX + 1):
+        assert _pieces(enumerate_tilings(n), Tiling) == _reference(Tiling, n)
+        for budget in range(-1, n + 1):
+            expected = _reference(Tiling, n, lambda k: k <= budget)
+            assert _pieces(enumerate_restricted(n, budget), Tiling) == expected
+        for i in range(-1, n + 2):
+            expected = _reference(ColoredTiling, n, lambda k: k == i)
+            assert _pieces(enumerate_colored(n, i), ColoredTiling) == expected
+            exact = _reference(Tiling, n, lambda k: k == i)
+            assert exact_longer_distribution(n, i) == _reference_weight(exact)
+
+
+def test_overshoot_matches_the_product_reference():
+    for s in range(_REFERENCE_MAX // 2 + 1):
+        for n in range(_REFERENCE_MAX - 2 * s + 1):
+            members = _reference(Tiling, n + 2 * s, lambda k: k == s + 1)
+            ending_longer = [w for w in members if w[-1] != "r"]
+            assert overshoot_distribution(n, s) == _reference_weight(ending_longer)
+
+
+def test_tilings_keep_value_semantics():
+    a, b = Tiling(("r", "d")), Tiling(("r", "d"))
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert len({a, b, Tiling(("d", "r"))}) == 2
+    for member in (a, ColoredTiling(("W", "D"))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            member.pieces = ()
+        assert not hasattr(member, "__dict__")
+    # the empty tiling exists in both models, and the two stay distinct
+    assert Tiling(()) != ColoredTiling(())
+    assert len({Tiling(()), ColoredTiling(())}) == 2
