@@ -42,10 +42,7 @@ FAMILIES = {
 def _range_arg(text: str) -> tuple[int, int]:
     """Parse 'a..b' (inclusive) or a single 'a' as the degenerate range."""
     lo, sep, hi = text.partition("..")
-    if not sep:
-        value = int(text)
-        return (value, value)
-    return (int(lo), int(hi))
+    return (int(lo), int(hi if sep else lo))
 
 
 def build_parser() -> argparse.ArgumentParser:

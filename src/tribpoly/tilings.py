@@ -14,6 +14,7 @@ raising the cap is a deliberate, explicit act.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, TypeVar
@@ -38,7 +39,7 @@ _EXPANSION = {colored: plain for (colored, _), (plain, _) in zip(_COLORED, _PLAI
 
 
 class EnumerationCapError(RuntimeError):
-    """Raised when an enumeration would exceed the configured length cap."""
+    """Raised when an enumeration would exceed its length cap or the recursion limit."""
 
 
 def _check_cap(n: int, cap: int) -> None:
@@ -140,7 +141,13 @@ def _words(n: int, cls: type[_W], budget: int, *, exact: bool = False) -> list[_
                     path.pop()
 
     if n >= need * budget:
-        walk(n, budget)
+        try:
+            walk(n, budget)
+        except RecursionError:  # a frame per piece; the first word walked has the most
+            limit = sys.getrecursionlimit()
+            raise EnumerationCapError(
+                f"enumeration of length {n} is deeper than the recursion limit of {limit}"
+            ) from None
     # walk's closure holds walk itself, and out; deleting the name breaks
     # that cycle, so the words die with the caller's last reference and
     # not at the next full collection

@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tribpoly import Polynomial, cli, tilings, tribonacci as trib
+from tribpoly import Polynomial, cli, identities, tilings, tribonacci as trib
 
 RESTRICTED_5_1_CSV = (
     "tiling,squares,dominos,trominos,weight_exponent\n"
@@ -161,6 +165,15 @@ def test_enumerate_over_cap(capsys):
     assert run_cli(capsys, "enumerate", "12", "--cap", "12")[0] == 0
 
 
+def test_enumerate_deeper_than_the_recursion_limit_is_a_usage_error(capsys):
+    # one word of 1,200 squares: the walk takes a frame per piece
+    code, out, err = run_cli(capsys, "enumerate", "1200", "--max-longer", "0", "--cap", "1200")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: enumeration of length 1200 ")
+    assert f"recursion limit of {sys.getrecursionlimit()}" in err
+
+
 def test_enumerate_csv_builds_no_weight_distribution(capsys, monkeypatch):
     def unused(members):
         raise AssertionError("the csv view shows no weight distribution")
@@ -179,6 +192,13 @@ def test_verify_single_identity_exit_zero(capsys):
     code, out, _ = run_cli(capsys, "verify", "id6", "--n", "0..14", "--s", "0..4")
     assert code == 0
     assert "overall: PASS" in out
+
+
+def test_verify_deeper_than_the_recursion_limit_is_resource_limited(capsys):
+    code, out, err = run_cli(capsys, "verify", "thm1", "--n", "1200", "--s", "0", "--cap", "1200")
+    assert code == 0
+    assert out == "THM1: 0 passed, 0 failed, 0 filtered, 1 resource-limited\noverall: PASS\n"
+    assert err == ""
 
 
 def test_verify_unknown_identity_rejected(capsys):
@@ -374,3 +394,53 @@ def test_closed_stdout_leaks_no_descriptor(monkeypatch):
             monkeypatch.setattr(sys, "stdout", stdout)
             assert cli.main(["compute", "trib-poly", "300"]) == 1
     assert len(os.listdir("/proc/self/fd")) == before
+
+
+# ----------------------------------------------------------------------
+# any small command line ends in an answer, a failed check or a usage error
+
+INDICES = st.integers(-3, 12).map(str)
+RANGES = st.one_of(
+    st.builds("{}..{}".format, INDICES, INDICES),
+    INDICES,
+    st.sampled_from(["", "..", "3..", "..3", "1...2", "1..2..3", "a..b", "x"]),
+)
+
+
+def _maybe(flag, values):
+    """No option, or ``flag=value``; the = form keeps a leading minus a value."""
+    return st.one_of(st.just([]), values.map(lambda v: [f"{flag}={v}"]))
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(["compute", "enumerate", "verify", "gf"]))
+    argv = [command, "--format=" + draw(st.sampled_from(["text", "json", "csv"]))]
+    if command == "compute":
+        argv.append(draw(st.sampled_from(sorted(cli.FAMILIES))))
+        argv += draw(st.lists(INDICES, min_size=1, max_size=3))
+    elif command == "enumerate":
+        argv.append(draw(INDICES))
+        argv += draw(_maybe("--max-longer", INDICES)) + draw(_maybe("--cap", INDICES))
+    elif command == "verify":
+        argv.append(draw(st.sampled_from(["all", *identities.ALL_IDENTITY_IDS])).lower())
+        for flag in ("--n", "--s", "--h"):
+            argv += draw(_maybe(flag, RANGES))
+        argv += draw(_maybe("--order", INDICES)) + draw(_maybe("--cap", INDICES))
+    else:
+        argv += [f"--s={draw(INDICES)}", f"--order={draw(INDICES)}"]
+        argv += draw(st.sampled_from([[], ["--x1"]]))
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(command_lines())
+def test_small_command_lines_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse errors
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -88,19 +88,49 @@ def test_corrupted_formula_yields_failure_payload(monkeypatch):
     assert report.lhs != report.rhs
 
 
-def test_cor2_negative_control_is_active(monkeypatch):
-    # if the perturbed numerator somehow matched, the report must fail
-    real = ident.closed_form_generating_series
+# every family value an identity may read through the tribonacci module
+FAMILY_VALUES = (
+    "tribonacci_number",
+    "tribonacci_poly",
+    "triangle_poly",
+    "level_sum",
+    "incomplete_tribonacci_poly",
+    "incomplete_tribonacci_number",
+    "incomplete_fibonacci_poly",
+    "overshoot_poly",
+)
 
-    def no_perturbation(s, order, *, x1=False, z2_offset=0):
-        return real(s, order, x1=x1, z2_offset=0)
 
-    monkeypatch.setattr(ident, "closed_form_generating_series", no_perturbation)
-    assert verify_cor2(1, 10).status == "failed"
+@pytest.mark.parametrize("identity_id", list(ident.CATALOG))
+def test_a_seeded_fault_fails_every_identity(identity_id, monkeypatch):
+    # the first family value the identity's default grid reads is made one
+    # too large; some point of that grid must then fail, showing both sides
+    first = []  # (name, args) of that value
+    seeded = []
+
+    def spy(name, real):
+        def value(*args):
+            if not first:
+                first.append((name, args))
+            result = real(*args)
+            return result + 1 if (name, args) in seeded else result
+
+        return value
+
+    for name in FAMILY_VALUES:
+        monkeypatch.setattr(trib, name, spy(name, getattr(trib, name)))
+    assert all_passed(run_grid(identities=[identity_id]))
+    assert first, f"{identity_id} reads no family value"
+    seeded.append(first[0])
+    failed = [r for r in run_grid(identities=[identity_id]) if r.status == "failed"]
+    assert failed, f"{identity_id} passes with {first[0]} off by one"
+    for report in failed:
+        assert report.lhs is not None and report.rhs is not None
+        assert report.lhs != report.rhs
 
 
 def test_cor2_passes_below_the_control_order():
-    # the control's shift lands at z^(2s+3); below that order it cannot show
+    # the lowest orders, where each side has only its first one to three terms
     for s in range(4):
         for order in range(2 * s + 1, 2 * s + 4):
             assert verify_cor2(s, order).status == "passed", (s, order)
