@@ -19,10 +19,8 @@ CoeffLike = Union[Polynomial, int]
 
 
 def _as_poly(value: CoeffLike) -> Polynomial:
-    if isinstance(value, Polynomial):
-        return value
-    if isinstance(value, int):
-        return Polynomial((value,))
+    if (poly := Polynomial._coerce(value)) is not None:
+        return poly
     raise TypeError(f"series coefficients must be Polynomial or int, got {type(value).__name__}")
 
 
@@ -98,10 +96,7 @@ class TruncatedSeries:
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        self._require_same_order(other)
-        return TruncatedSeries(
-            (a - b for a, b in zip(self._coeffs, other._coeffs)), self._order
-        )
+        return self + (-other)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):

@@ -9,7 +9,8 @@ of budget.  Rank k weighs x^(2 - k), so ``expand_colored`` maps rank to rank.
 Enumeration is brute force: one depth-first walk visits every tiling once,
 and no formula is used, because these sets are the independent oracle
 against which the closed formulas are checked.  It is therefore capped;
-raising the cap is a deliberate, explicit act.
+raising the cap is a deliberate, explicit act.  The walk owns its limits
+(length, cap, budget), and each enumerator is one call of it.
 """
 
 from __future__ import annotations
@@ -40,15 +41,6 @@ _EXPANSION = {colored: plain for (colored, _), (plain, _) in zip(_COLORED, _PLAI
 
 class EnumerationCapError(RuntimeError):
     """Raised when an enumeration would exceed its length cap or the recursion limit."""
-
-
-def _check_cap(n: int, cap: int) -> None:
-    if n < 0:
-        raise ValueError(f"tiling length must be >= 0, got {n}")
-    if n > cap:
-        raise EnumerationCapError(
-            f"enumeration of length {n} exceeds the cap of {cap}; pass a larger cap explicitly"
-        )
 
 
 def _count(*ranks: int, doc: str | None = None) -> property:
@@ -110,14 +102,22 @@ _W = TypeVar("_W", bound=_Word)
 # enumeration; table order (r < d < t, B < W < D) makes it lexicographic
 
 
-def _words(n: int, cls: type[_W], budget: int, *, exact: bool = False) -> list[_W]:
+def _words(n: int, cls: type[_W], budget: int, cap: int, *, exact: bool = False) -> list[_W]:
     """Words of ``cls``'s model of length n with at most ``budget`` longer
-    pieces, or exactly ``budget`` of them when ``exact``.
+    pieces, or exactly ``budget`` of them when ``exact``.  The walk owns the
+    limits, in order: a negative length is a ValueError, a length past ``cap``
+    an EnumerationCapError, and a negative budget gives no words.
 
     One depth-first walk over a shared path builds each word once, at its
     leaf.  Every call keeps ``room >= need * left``: the room left can still
     hold the longer pieces owed, so no branch is entered that ends in no word.
     """
+    if n < 0:
+        raise ValueError(f"tiling length must be >= 0, got {n}")
+    if n > cap:
+        raise EnumerationCapError(
+            f"enumeration of length {n} exceeds the cap of {cap}; pass a larger cap explicitly"
+        )
     (short, _), *longer = cls._model
     # cells each owed longer piece needs at least; nothing is owed unless exact
     need = min(size for _, size in longer) if exact else 0
@@ -140,7 +140,7 @@ def _words(n: int, cls: type[_W], budget: int, *, exact: bool = False) -> list[_
                     walk(room - size, left - 1)
                     path.pop()
 
-    if n >= need * budget:
+    if budget >= 0 and n >= need * budget:
         try:
             walk(n, budget)
         except RecursionError:  # a frame per piece; the first word walked has the most
@@ -157,16 +157,12 @@ def _words(n: int, cls: type[_W], budget: int, *, exact: bool = False) -> list[_
 
 def enumerate_tilings(n: int, *, cap: int = DEFAULT_CAP) -> list[Tiling]:
     """All tilings of length n, in lexicographic word order (r < d < t)."""
-    _check_cap(n, cap)
-    return _words(n, Tiling, n)
+    return _words(n, Tiling, n, cap)
 
 
 def enumerate_restricted(n: int, max_longer: int, *, cap: int = DEFAULT_CAP) -> list[Tiling]:
     """Tilings of length n with at most ``max_longer`` longer pieces."""
-    _check_cap(n, cap)
-    if max_longer < 0:
-        return []
-    return _words(n, Tiling, max_longer)
+    return _words(n, Tiling, max_longer, cap)
 
 
 def weight_distribution(tilings: Iterable[Tiling | ColoredTiling]) -> Polynomial:
@@ -177,10 +173,7 @@ def weight_distribution(tilings: Iterable[Tiling | ColoredTiling]) -> Polynomial
 
 def enumerate_colored(n: int, i: int, *, cap: int = DEFAULT_CAP) -> list[ColoredTiling]:
     """Colored tilings of length n with white squares + dominos == i."""
-    _check_cap(n, cap)
-    if i < 0:
-        return []
-    return _words(n, ColoredTiling, i, exact=True)
+    return _words(n, ColoredTiling, i, cap, exact=True)
 
 
 colored_weight_distribution = weight_distribution
@@ -198,10 +191,7 @@ def expand_colored(tiling: ColoredTiling) -> Tiling:
 
 def exact_longer_distribution(n: int, k: int, *, cap: int = DEFAULT_CAP) -> Polynomial:
     """Weight of tilings of length n with exactly k longer pieces."""
-    _check_cap(n, cap)
-    if k < 0:
-        return Polynomial()
-    return weight_distribution(_words(n, Tiling, k, exact=True))
+    return weight_distribution(_words(n, Tiling, k, cap, exact=True))
 
 
 def overshoot_distribution(n: int, s: int, *, cap: int = DEFAULT_CAP) -> Polynomial:
@@ -213,8 +203,6 @@ def overshoot_distribution(n: int, s: int, *, cap: int = DEFAULT_CAP) -> Polynom
         raise ValueError(f"overshoot index must be >= 0, got {n}")
     if s < 0:
         raise ValueError(f"overshoot level must be >= 0, got {s}")
-    length = n + 2 * s
-    _check_cap(length, cap)
     # s + 1 >= 1 longer pieces, so every member is non-empty
-    members = _words(length, Tiling, s + 1, exact=True)
+    members = _words(n + 2 * s, Tiling, s + 1, cap, exact=True)
     return weight_distribution(t for t in members if t.pieces[-1] != SQUARE)

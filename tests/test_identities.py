@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tribpoly import (
     GridConfig,
@@ -70,6 +72,26 @@ def test_thm1_respects_the_cap():
     assert verify_thm1(10, 2, cap=10).passed
 
 
+# a check called with its parameters by name reports what the positional call does
+@pytest.mark.parametrize(
+    "by_name, positional, status",
+    [
+        (lambda: verify_eq4(n=1, s=0), lambda: verify_eq4(1, 0), "passed"),
+        (lambda: verify_eq4(4, s=2), lambda: verify_eq4(4, 2), "filtered"),
+        (
+            lambda: verify_thm1(n=12, s=2, cap=10),
+            lambda: verify_thm1(12, 2, cap=10),
+            "resource_limited",
+        ),
+    ],
+    ids=["eq4-passed", "eq4-filtered", "thm1-resource-limited"],
+)
+def test_a_check_called_by_name(by_name, positional, status):
+    named, placed = by_name(), positional()
+    assert list(named.params.items()) == list(placed.params.items())
+    assert named.status == placed.status == status
+
+
 def test_corrupted_formula_yields_failure_payload(monkeypatch):
     real = trib.overshoot_poly
 
@@ -127,6 +149,39 @@ def test_a_seeded_fault_fails_every_identity(identity_id, monkeypatch):
     for report in failed:
         assert report.lhs is not None and report.rhs is not None
         assert report.lhs != report.rhs
+
+
+# The far bound of each parameter: well past every default grid, yet cheap
+# enough for tier-1 (the costliest points are THM2 at s = 10, order 60, and
+# ID6 at (60, 10)).  THM1 enumerates, so its n stops at 16, plus 19 and 20
+# past the cap of 18.
+FAR = {"n": 60, "s": 10, "h": 8, "order": 60}
+THM1_N = st.one_of(st.integers(0, 16), st.sampled_from([19, 20]))
+
+
+def _grid_top(default, before):
+    """The top of one axis of a default grid, given the parameters before it."""
+    span = default(*before) if callable(default) else default
+    return span if isinstance(span, int) else span[1]
+
+
+@pytest.mark.parametrize("identity_id", list(ident.CATALOG))
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_far_points_pass(identity_id, data):
+    entry = ident.CATALOG[identity_id]
+    point, beyond = [], False
+    for name in entry.params:
+        values = THM1_N if (identity_id, name) == ("THM1", "n") else st.integers(0, FAR[name])
+        value = data.draw(values, label=name)
+        beyond |= value > _grid_top(entry.axes[name], point)
+        point.append(value)
+    assume(beyond)  # a point of the default grid is not far
+    report = entry.check(*point)
+    if identity_id == "THM1" and point[0] > ident.tilings.DEFAULT_CAP:
+        assert report.status == "resource_limited"
+    else:
+        assert report.status in ("passed", "filtered"), (report.lhs, report.rhs)
 
 
 def test_cor2_passes_below_the_control_order():

@@ -115,7 +115,6 @@ def test_restricted_five_one():
 
 
 def test_restricted_edge_budgets():
-    assert enumerate_restricted(4, -1) == []
     full = enumerate_tilings(6)
     assert enumerate_restricted(6, 3) == full  # budget at the max is no restriction
     only_squares = enumerate_restricted(6, 0)
@@ -135,8 +134,36 @@ def test_cap_enforcement():
     with pytest.raises(EnumerationCapError):
         enumerate_tilings(7, cap=6)
     assert len(enumerate_tilings(7, cap=7)) == tribonacci_number(8)
-    with pytest.raises(ValueError):
-        enumerate_tilings(-1)
+
+
+# Each enumerator with its result for no words (None: it takes no budget).
+# The walk applies the limits in one order: a negative length is a
+# ValueError, then a length past the cap an EnumerationCapError, and only
+# then does a negative budget give no words.
+_LIMITED = {
+    "enumerate_tilings": (lambda n, budget, **cap: enumerate_tilings(n, **cap), None),
+    "enumerate_restricted": (enumerate_restricted, []),
+    "enumerate_colored": (enumerate_colored, []),
+    "exact_longer_distribution": (exact_longer_distribution, ZERO),
+}
+
+
+@pytest.mark.parametrize("name", list(_LIMITED))
+def test_limits_apply_in_order(name):
+    enumerate_words, no_words = _LIMITED[name]
+    with pytest.raises(ValueError, match=r"^tiling length must be >= 0, got -1$"):
+        enumerate_words(-1, -1)
+    with pytest.raises(ValueError, match=r"^tiling length must be >= 0, got -1$"):
+        enumerate_words(-1, -1, cap=-2)  # the length is checked before the cap
+    past = r"^enumeration of length 30 exceeds the cap of 18; pass a larger cap explicitly$"
+    with pytest.raises(EnumerationCapError, match=past):
+        enumerate_words(30, -1)
+    with pytest.raises(EnumerationCapError, match="of length 7 exceeds the cap of 6;"):
+        enumerate_words(7, -1, cap=6)
+    if no_words is not None:
+        assert enumerate_words(3, -1) == no_words
+        assert enumerate_words(4, -1) == no_words
+        assert enumerate_words(7, -1, cap=7) == no_words
 
 
 def test_colored_enumeration():
@@ -192,7 +219,6 @@ def test_expansion_is_a_bijection():
 def test_exact_longer_distribution():
     assert exact_longer_distribution(5, 1) == Polynomial.from_terms({7: 4, 4: 3})
     assert exact_longer_distribution(4, 0) == Polynomial.from_terms({8: 1})
-    assert exact_longer_distribution(3, -1) == ZERO
     for n in range(11):
         for k in range(n // 2 + 1):
             assert exact_longer_distribution(n, k) == triangle_poly(n - k, k)
