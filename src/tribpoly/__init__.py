@@ -28,7 +28,7 @@ from .identities import (
     verify_thm2,
 )
 from .poly import ONE, Polynomial, X, ZERO
-from .series import DEFAULT_ORDER, TruncatedSeries, rational_expand
+from .series import TruncatedSeries, rational_expand
 from .tilings import (
     DEFAULT_CAP,
     ColoredTiling,

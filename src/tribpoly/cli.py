@@ -6,15 +6,18 @@ Each subcommand computes its result once and hands three views to
 CSV rows as a generator, so that only the view asked for is built.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
-All results go to stdout; diagnostics go to stderr.  A stdout closed
-before all output is written (``tribpoly verify all | head``) exits 1
-quietly.
+``main`` is the one place that turns bad input into exit 2: the
+``ValueError``, ``OverflowError`` or ``EnumerationCapError`` a subcommand
+raises, before any output, becomes one ``error:`` line on stderr.  Results
+go to stdout.  A stdout closed before all output is written (``tribpoly
+verify all | head``) exits 1 quietly.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import json
 import os
@@ -77,10 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("n", type=int)
     p.add_argument(
-        "--max-longer",
-        type=int,
-        default=None,
-        help="keep only tilings with at most this many dominos/trominos",
+        "--max-longer", type=int, help="keep only tilings with at most this many dominos/trominos"
     )
     p.set_defaults(func=_cmd_enumerate)
 
@@ -96,7 +96,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_range_arg, default=None, dest="n_range", help="n range a..b")
     p.add_argument("--s", type=_range_arg, default=None, dest="s_range", help="s range a..b")
     p.add_argument("--h", type=_range_arg, default=None, dest="h_range", help="h range a..b")
-    p.add_argument("--order", type=int, default=None, help="series order of THM2/COR2/REMARK_A")
+    p.add_argument(
+        "--order",
+        type=int,
+        dest="series_order",
+        metavar="ORDER",
+        help="series order of THM2/COR2/REMARK_A",
+    )
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser(
@@ -108,11 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gf)
 
     return parser
-
-
-def _fail_usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
 
 
 def _write(fmt: str, lines: Iterable, doc: Callable, header: Sequence, rows: Iterable) -> None:
@@ -131,13 +132,10 @@ def _write(fmt: str, lines: Iterable, doc: Callable, header: Sequence, rows: Ite
 def _cmd_compute(args: argparse.Namespace) -> int:
     name, arity = FAMILIES[args.family]
     if len(args.indices) != arity:
-        return _fail_usage(
+        raise ValueError(
             f"family '{args.family}' expects {arity} index argument(s), got {len(args.indices)}"
         )
-    try:
-        value = getattr(trib, name)(*args.indices)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+    value = getattr(trib, name)(*args.indices)
     poly = isinstance(value, Polynomial)
     key, shown = ("coeffs", value.to_coeff_strings) if poly else ("value", value.__str__)
     _write(
@@ -151,13 +149,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    try:
-        if args.max_longer is not None:
-            members = tilings.enumerate_restricted(args.n, args.max_longer, cap=args.cap)
-        else:
-            members = tilings.enumerate_tilings(args.n, cap=args.cap)
-    except (ValueError, tilings.EnumerationCapError) as exc:
-        return _fail_usage(str(exc))
+    max_longer = args.n if args.max_longer is None else args.max_longer
+    members = tilings.enumerate_restricted(args.n, max_longer, cap=args.cap)
     words = [m.word() for m in members]
     _write(
         args.format,
@@ -183,19 +176,11 @@ def _enumerate_lines(words: list[str], members: Sequence) -> Iterator[str]:
     yield f"weight: {tilings.weight_distribution(members)}"
 
 
-_PARAM_COLUMNS = ("n", "s", "h", "order")
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    config = identities.GridConfig(
-        n_range=args.n_range,
-        s_range=args.s_range,
-        h_range=args.h_range,
-        series_order=args.order,
-        cap=args.cap,
-    )
-    wanted = None if args.identity == "ALL" else [args.identity]
-    reports = identities.run_grid(config, wanted)
+    fields = dataclasses.fields(identities.GridConfig)
+    config = identities.GridConfig(**{f.name: getattr(args, f.name) for f in fields})
+    reports = identities.run_grid(config, None if args.identity == "ALL" else [args.identity])
+    columns = tuple(dict.fromkeys(p for entry in identities.CATALOG.values() for p in entry.params))
     ok = identities.all_passed(reports)
     _write(
         args.format,
@@ -205,9 +190,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "summary": identities.summarize(reports),
             "ok": ok,
         },
-        ("identity_id", *_PARAM_COLUMNS, "passed", "elapsed_ms"),
+        ("identity_id", *columns, "passed", "elapsed_ms"),
         (
-            [r.identity_id, *(r.params.get(col, "") for col in _PARAM_COLUMNS)]
+            [r.identity_id, *(r.params.get(col, "") for col in columns)]
             + [str(r.passed).lower(), f"{r.elapsed_ms:.3f}"]
             for r in reports
             if r.status in (identities.PASSED, identities.FAILED)
@@ -231,9 +216,9 @@ def _verify_lines(reports: Sequence[identities.IdentityReport], ok: bool) -> Ite
 
 def _cmd_gf(args: argparse.Namespace) -> int:
     if args.s < 0:
-        return _fail_usage(f"restriction level must be >= 0, got {args.s}")
+        raise ValueError(f"restriction level must be >= 0, got {args.s}")
     if args.order < 2 * args.s + 1:
-        return _fail_usage(
+        raise ValueError(
             f"order {args.order} is below the series offset {2 * args.s + 1}; nothing to show"
         )
     series = identities.closed_form_generating_series(args.s, args.order, x1=args.x1)
@@ -243,8 +228,7 @@ def _cmd_gf(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     # Python (3.10.7 on) refuses str(int) past 4,300 digits, and family
     # values get longer; lift that limit for this call only, if there is one
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -254,6 +238,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
+    except (ValueError, OverflowError, tilings.EnumerationCapError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # the reader is gone; send what is still buffered to devnull, so
         # the flush at exit cannot raise again

@@ -13,8 +13,6 @@ from typing import Iterable, Union
 
 from .poly import ONE, Polynomial, ZERO
 
-DEFAULT_ORDER = 32
-
 CoeffLike = Union[Polynomial, int]
 
 
@@ -29,7 +27,7 @@ class TruncatedSeries:
 
     __slots__ = ("_order", "_coeffs")
 
-    def __init__(self, terms: Iterable[CoeffLike] = (), order: int = DEFAULT_ORDER) -> None:
+    def __init__(self, terms: Iterable[CoeffLike], order: int) -> None:
         if order < 0:
             raise ValueError(f"series order must be >= 0, got {order}")
         coeffs = [_as_poly(t) for t in terms]
@@ -42,11 +40,11 @@ class TruncatedSeries:
         self._coeffs = tuple(coeffs)
 
     @classmethod
-    def zero(cls, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
+    def zero(cls, order: int) -> "TruncatedSeries":
         return cls((), order)
 
     @classmethod
-    def one(cls, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
+    def one(cls, order: int) -> "TruncatedSeries":
         return cls((ONE,), order)
 
     # ------------------------------------------------------------------

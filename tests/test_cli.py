@@ -201,6 +201,12 @@ def test_verify_deeper_than_the_recursion_limit_is_resource_limited(capsys):
     assert err == ""
 
 
+def test_verify_order_sets_the_series_order(capsys):
+    code, out, _ = run_cli(capsys, "verify", "thm2", "--s", "1", "--order", "8", "--format", "json")
+    assert code == 0
+    assert [r["params"] for r in json.loads(out)["reports"]] == [{"s": 1, "order": 8}]
+
+
 def test_verify_unknown_identity_rejected(capsys):
     code, _, err = run_cli(capsys, "verify", "bogus")
     assert code == 2
@@ -334,6 +340,29 @@ def test_gf_json_matches_series(capsys):
 
 
 # ----------------------------------------------------------------------
+# indices too large for a machine-sized integer
+
+TOO_LARGE = "100000000000000000000"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "b-poly", TOO_LARGE, "5"),
+        ("compute", "r-poly", TOO_LARGE, "0"),
+        ("compute", "fib-incomplete", TOO_LARGE, "0"),
+        ("compute", "incomplete-number", TOO_LARGE, "0"),
+        ("gf", "--s", "0", "--order", TOO_LARGE),
+        ("verify", "eq4", "--n", TOO_LARGE, "--s", "0"),
+    ],
+)
+def test_index_too_large_to_hold_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# ----------------------------------------------------------------------
 # determinism: identical invocations must produce identical bytes
 
 
@@ -444,3 +473,5 @@ def test_small_command_lines_exit_cleanly(argv):
             code = exc.code
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue(), argv
+    # a usage error comes before any output
+    assert code != 2 or out.getvalue() == "", argv
