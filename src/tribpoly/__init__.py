@@ -34,7 +34,6 @@ from .tilings import (
     ColoredTiling,
     EnumerationCapError,
     Tiling,
-    colored_weight_distribution,
     enumerate_colored,
     enumerate_restricted,
     enumerate_tilings,

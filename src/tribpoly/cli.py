@@ -7,10 +7,10 @@ CSV rows as a generator, so that only the view asked for is built.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 ``main`` is the one place that turns bad input into exit 2: the
-``ValueError``, ``OverflowError`` or ``EnumerationCapError`` a subcommand
-raises, before any output, becomes one ``error:`` line on stderr.  Results
-go to stdout.  A stdout closed before all output is written (``tribpoly
-verify all | head``) exits 1 quietly.
+``ValueError``, ``OverflowError``, ``MemoryError`` or ``EnumerationCapError``
+a subcommand raises, before any output, becomes one ``error:`` line on
+stderr.  Results go to stdout.  A stdout closed before all output is
+written (``tribpoly verify all | head``) exits 1 quietly.
 """
 
 from __future__ import annotations
@@ -238,8 +238,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
-    except (ValueError, OverflowError, tilings.EnumerationCapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OverflowError, MemoryError, tilings.EnumerationCapError) as exc:
+        # str(MemoryError()) is empty
+        print(f"error: {str(exc) or 'the result is too large to hold in memory'}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # the reader is gone; send what is still buffered to devnull, so

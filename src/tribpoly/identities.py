@@ -341,18 +341,17 @@ def closed_form_generating_series(s: int, order: int, *, x1: bool = False) -> Tr
     """
     if s < 0:
         raise ValueError(f"restriction level must be >= 0, got {s}")
+    x = 1 if x1 else X
+    cleared = _series([1, -(x * x)], order) ** (s + 1)
+    denominator = _series([1, -(x * x), -x, -1], order)
     if x1:
         tn = trib.tribonacci_number
         head = [tn(2 * s + 1), tn(2 * s - 1) + tn(2 * s), tn(2 * s)]
-        cleared = _series([1, -1], order) ** (s + 1)
         overshoot = (_series([1, 1], order) ** (s + 1)).shifted(2)
-        denominator = _series([1, -1, -1, -1], order)
     else:
         tp = trib.tribonacci_poly
         head = [tp(2 * s + 1), tp(2 * s - 1) + tp(2 * s).times_monomial(1, 1), tp(2 * s)]
-        cleared = _series([ONE, -(X * X)], order) ** (s + 1)
         overshoot = cleared * overshoot_generating_series(s, order)
-        denominator = _series([ONE, -(X * X), -X, -ONE], order)
     numerator = cleared * _series(head, order) - overshoot
     return rational_expand(numerator, cleared * denominator).shifted(2 * s + 1)
 

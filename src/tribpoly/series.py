@@ -40,10 +40,6 @@ class TruncatedSeries:
         self._coeffs = tuple(coeffs)
 
     @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls((), order)
-
-    @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
         return cls((ONE,), order)
 

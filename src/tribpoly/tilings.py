@@ -6,11 +6,11 @@ order: plain ``r 1, d 2, t 3`` (square, domino, tromino) and colored
 short piece; ranks 1 and 2 are the "longer" pieces, each costing one unit
 of budget.  Rank k weighs x^(2 - k), so ``expand_colored`` maps rank to rank.
 
-Enumeration is brute force: one depth-first walk visits every tiling once,
-and no formula is used, because these sets are the independent oracle
-against which the closed formulas are checked.  It is therefore capped;
-raising the cap is a deliberate, explicit act.  The walk owns its limits
-(length, cap, budget), and each enumerator is one call of it.
+Enumeration is brute force and uses no formula: these sets are the
+independent oracle of the closed formulas, so it is capped, and raising the
+cap is a deliberate, explicit act.  Each enumerator is one call of one
+depth-first walk, which owns the limits (length, cap, budget) and keeps the
+words with at most ``budget`` longer pieces; an exact count filters them.
 """
 
 from __future__ import annotations
@@ -102,15 +102,15 @@ _W = TypeVar("_W", bound=_Word)
 # enumeration; table order (r < d < t, B < W < D) makes it lexicographic
 
 
-def _words(n: int, cls: type[_W], budget: int, cap: int, *, exact: bool = False) -> list[_W]:
+def _words(n: int, cls: type[_W], budget: int, cap: int) -> list[_W]:
     """Words of ``cls``'s model of length n with at most ``budget`` longer
-    pieces, or exactly ``budget`` of them when ``exact``.  The walk owns the
-    limits, in order: a negative length is a ValueError, a length past ``cap``
-    an EnumerationCapError, and a negative budget gives no words.
+    pieces.  The walk owns the limits, in order: a negative length is a
+    ValueError, a length past ``cap`` an EnumerationCapError, and a negative
+    budget gives no words.
 
     One depth-first walk over a shared path builds each word once, at its
-    leaf.  Every call keeps ``room >= need * left``: the room left can still
-    hold the longer pieces owed, so no branch is entered that ends in no word.
+    leaf.  It has one rule, at most ``budget`` longer pieces; an exact count
+    of them is a filter of the words it returns.
     """
     if n < 0:
         raise ValueError(f"tiling length must be >= 0, got {n}")
@@ -119,8 +119,6 @@ def _words(n: int, cls: type[_W], budget: int, cap: int, *, exact: bool = False)
             f"enumeration of length {n} exceeds the cap of {cap}; pass a larger cap explicitly"
         )
     (short, _), *longer = cls._model
-    # cells each owed longer piece needs at least; nothing is owed unless exact
-    need = min(size for _, size in longer) if exact else 0
     path: list[str] = []
     out: list[_W] = []
 
@@ -128,19 +126,17 @@ def _words(n: int, cls: type[_W], budget: int, cap: int, *, exact: bool = False)
         if not room:
             out.append(cls(tuple(path)))
             return
-        if room > need * left:
-            path.append(short)
-            walk(room - 1, left)
-            path.pop()
+        path.append(short)
+        walk(room - 1, left)
+        path.pop()
         if left:
-            spare = room - need * (left - 1)
             for piece, size in longer:
-                if size <= spare:
+                if size <= room:
                     path.append(piece)
                     walk(room - size, left - 1)
                     path.pop()
 
-    if budget >= 0 and n >= need * budget:
+    if budget >= 0:
         try:
             walk(n, budget)
         except RecursionError:  # a frame per piece; the first word walked has the most
@@ -173,10 +169,7 @@ def weight_distribution(tilings: Iterable[Tiling | ColoredTiling]) -> Polynomial
 
 def enumerate_colored(n: int, i: int, *, cap: int = DEFAULT_CAP) -> list[ColoredTiling]:
     """Colored tilings of length n with white squares + dominos == i."""
-    return _words(n, ColoredTiling, i, cap, exact=True)
-
-
-colored_weight_distribution = weight_distribution
+    return [w for w in _words(n, ColoredTiling, i, cap) if w.color_budget == i]
 
 
 def expand_colored(tiling: ColoredTiling) -> Tiling:
@@ -191,7 +184,7 @@ def expand_colored(tiling: ColoredTiling) -> Tiling:
 
 def exact_longer_distribution(n: int, k: int, *, cap: int = DEFAULT_CAP) -> Polynomial:
     """Weight of tilings of length n with exactly k longer pieces."""
-    return weight_distribution(_words(n, Tiling, k, cap, exact=True))
+    return weight_distribution(t for t in _words(n, Tiling, k, cap) if t.longer_pieces == k)
 
 
 def overshoot_distribution(n: int, s: int, *, cap: int = DEFAULT_CAP) -> Polynomial:
@@ -203,6 +196,8 @@ def overshoot_distribution(n: int, s: int, *, cap: int = DEFAULT_CAP) -> Polynom
         raise ValueError(f"overshoot index must be >= 0, got {n}")
     if s < 0:
         raise ValueError(f"overshoot level must be >= 0, got {s}")
-    # s + 1 >= 1 longer pieces, so every member is non-empty
-    members = _words(n + 2 * s, Tiling, s + 1, cap, exact=True)
-    return weight_distribution(t for t in members if t.pieces[-1] != SQUARE)
+    # the count comes first: a word with s + 1 >= 1 longer pieces is not empty
+    members = _words(n + 2 * s, Tiling, s + 1, cap)
+    return weight_distribution(
+        t for t in members if t.longer_pieces == s + 1 and t.pieces[-1] != SQUARE
+    )

@@ -5,6 +5,11 @@ import os
 import subprocess
 import sys
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -360,6 +365,45 @@ def test_index_too_large_to_hold_is_a_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# ----------------------------------------------------------------------
+# results too large to allocate
+
+HUGE = "1000000000000"
+
+
+def _limit_address_space():
+    # 1 GiB: the allocation fails at once, whatever the host's overcommit policy
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+@pytest.mark.parametrize(
+    "command",
+    [
+        f"compute b-poly {HUGE} 0",
+        f"compute incomplete-poly {HUGE} 0",
+        f"compute incomplete-number {HUGE} 3",
+        f"compute r-poly {HUGE} 0",
+        f"compute fib-incomplete {HUGE} 0",
+        f"gf --s 1 --order {HUGE}",
+        f"gf --s 1 --order {HUGE} --x1",
+        f"verify eq4 --n {HUGE} --s 0",
+    ],
+)
+def test_result_too_large_to_allocate_is_a_usage_error(command):
+    proc = subprocess.run(
+        [sys.executable, "-m", "tribpoly", *command.split()],
+        capture_output=True,
+        text=True,
+        preexec_fn=_limit_address_space,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert len(proc.stderr) > len("error: \n")
+    assert "Traceback" not in proc.stderr
 
 
 # ----------------------------------------------------------------------

@@ -93,7 +93,7 @@ def test_shifted():
     s = TruncatedSeries([1, 2, 3], 2)
     assert s.shifted(0) == s
     assert s.shifted(1) == TruncatedSeries([0, 1, 2], 2)
-    assert s.shifted(5) == TruncatedSeries.zero(2)
+    assert s.shifted(5) == TruncatedSeries((), 2)
     with pytest.raises(ValueError):
         s.shifted(-1)
 

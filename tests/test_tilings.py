@@ -11,7 +11,6 @@ from tribpoly import (
     Polynomial,
     Tiling,
     ZERO,
-    colored_weight_distribution,
     enumerate_colored,
     enumerate_restricted,
     enumerate_tilings,
@@ -170,7 +169,7 @@ def test_colored_enumeration():
     members = enumerate_colored(2, 1)
     assert {m.word() for m in members} == {"D", "WB", "BW"}
     assert len(members) == 3
-    assert colored_weight_distribution(members) == Polynomial.from_terms({3: 2, 0: 1})
+    assert weight_distribution(members) == Polynomial.from_terms({3: 2, 0: 1})
     # word order B < W < D
     assert [m.word() for m in members] == ["BW", "WB", "D"]
     words = [m.word() for m in enumerate_colored(4, 2)]
@@ -181,7 +180,7 @@ def test_colored_enumeration():
 def test_colored_distribution_matches_triangle():
     for n in range(10):
         for i in range(n + 1):
-            dist = colored_weight_distribution(enumerate_colored(n, i))
+            dist = weight_distribution(enumerate_colored(n, i))
             assert dist == triangle_poly(n, i)
 
 
