@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import inspect
 import itertools
 import json
 import os
@@ -28,17 +29,14 @@ from . import identities, tilings
 from . import tribonacci as trib
 from .poly import Polynomial
 
-# family -> (function in tribpoly.tribonacci, number of indices); the
-# function is looked up when called, as the identity checks do, so that
-# whatever replaces a module attribute (a tracer, a test) sees the call
 FAMILIES = {
-    "trib-number": ("tribonacci_number", 1),
-    "trib-poly": ("tribonacci_poly", 1),
-    "incomplete-poly": ("incomplete_tribonacci_poly", 2),
-    "incomplete-number": ("incomplete_tribonacci_number", 2),
-    "b-poly": ("triangle_poly", 2),
-    "fib-incomplete": ("incomplete_fibonacci_poly", 2),
-    "r-poly": ("overshoot_poly", 2),
+    "trib-number": trib.tribonacci_number,
+    "trib-poly": trib.tribonacci_poly,
+    "incomplete-poly": trib.incomplete_tribonacci_poly,
+    "incomplete-number": trib.incomplete_tribonacci_number,
+    "b-poly": trib.triangle_poly,
+    "fib-incomplete": trib.incomplete_fibonacci_poly,
+    "r-poly": trib.overshoot_poly,
 }
 
 
@@ -130,12 +128,13 @@ def _write(fmt: str, lines: Iterable, doc: Callable, header: Sequence, rows: Ite
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
-    name, arity = FAMILIES[args.family]
+    function = FAMILIES[args.family]
+    arity = len(inspect.signature(function).parameters)
     if len(args.indices) != arity:
         raise ValueError(
             f"family '{args.family}' expects {arity} index argument(s), got {len(args.indices)}"
         )
-    value = getattr(trib, name)(*args.indices)
+    value = function(*args.indices)
     poly = isinstance(value, Polynomial)
     key, shown = ("coeffs", value.to_coeff_strings) if poly else ("value", value.__str__)
     _write(

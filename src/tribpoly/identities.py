@@ -102,16 +102,16 @@ def _identity(identity_id: str, precondition: Callable[..., bool], **axes: objec
     into its ``verify_*`` check, and enter it in :data:`CATALOG`."""
 
     def declare(sides: Callable[..., tuple]) -> Callable[..., IdentityReport]:
+        signature = inspect.signature(sides)
         names = tuple(
-            p.name
-            for p in inspect.signature(sides).parameters.values()
-            if p.kind is p.POSITIONAL_OR_KEYWORD
+            p.name for p in signature.parameters.values() if p.kind is p.POSITIONAL_OR_KEYWORD
         )
 
         @functools.wraps(sides)
         def check(*args: int, **options: int) -> IdentityReport:
-            if len(args) < len(names):  # parameters passed by name
-                args += tuple(options.pop(n) for n in names[len(args) :] if n in options)
+            if len(args) != len(names):  # parameters passed by name, or a bad call
+                options = signature.bind(*args, **options).arguments
+                args = tuple(options.pop(n) for n in names)
             params = dict(zip(names, args))
             if not precondition(*args):
                 return IdentityReport(identity_id, params, FILTERED, 0.0)

@@ -98,12 +98,12 @@ class TruncatedSeries:
         self._require_same_order(other)
         n = self._order
         out = [ZERO] * (n + 1)
+        b_terms = [(j, b) for j, b in enumerate(other._coeffs) if b]
         for i, a in enumerate(self._coeffs):
-            if a.is_zero:
-                continue
-            for j in range(n + 1 - i):
-                b = other._coeffs[j]
-                if not b.is_zero:
+            if a:
+                for j, b in b_terms:
+                    if i + j > n:
+                        break
                     out[i + j] = out[i + j] + a * b
         return TruncatedSeries(out, n)
 
@@ -118,22 +118,16 @@ class TruncatedSeries:
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse; requires constant coefficient exactly 1.
 
-        Coefficients follow from solving self * inv = 1 degree by degree,
-        which keeps everything in integer-coefficient polynomials.
+        Solving self * inv = 1 degree by degree gives the recurrence inv[0] = 1,
+        inv[k] = -sum(self[j] * inv[k - j]) over the nonzero self[j], 1 <= j <= k.
         """
         if self._coeffs[0] != ONE:
             raise ValueError("series inverse requires constant coefficient 1")
-        n = self._order
-        inv = [ONE] + [ZERO] * n
-        for k in range(1, n + 1):
-            acc = ZERO
-            for j in range(1, k + 1):
-                a = self._coeffs[j]
-                b = inv[k - j]
-                if not a.is_zero and not b.is_zero:
-                    acc = acc + a * b
-            inv[k] = -acc
-        return TruncatedSeries(inv, n)
+        d_terms = [(j, d) for j, d in enumerate(self._coeffs) if j and d]
+        inv = [ONE]
+        for k in range(1, self._order + 1):
+            inv.append(-sum((d * inv[k - j] for j, d in d_terms if j <= k), ZERO))
+        return TruncatedSeries(inv, self._order)
 
     def shifted(self, k: int) -> "TruncatedSeries":
         """Multiply by z**k, discarding what truncation pushes past the order."""
@@ -179,8 +173,8 @@ def rational_expand(numerator: TruncatedSeries, denominator: TruncatedSeries) ->
     """Expand numerator / denominator; the denominator's constant term must be 1.
 
     Cheap when both are short, nonzero only in their first few z-powers:
-    the inverse then sums few terms per coefficient, and the product skips
-    the numerator's zero coefficients.  Clear dense denominators before
-    calling it, as the generating functions in ``identities`` do.
+    the inverse then sums few terms per coefficient, and the product walks
+    the inverse's nonzero terms and skips the numerator's zero coefficients.
+    Clear dense denominators first, as ``identities``' generating functions do.
     """
     return numerator * denominator.inverse()

@@ -92,6 +92,23 @@ def test_a_check_called_by_name(by_name, positional, status):
     assert named.status == placed.status == status
 
 
+# a bad argument list is reported against the check's own parameters
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: verify_eq4(s=0), "missing a required argument: 'n'"),
+        (lambda: verify_id1(2, h=1), "missing a required argument: 's'"),
+        (lambda: verify_eq4(3, n=4), "multiple values for argument 'n'"),
+        (lambda: verify_thm1(4, 1, 18), "too many positional arguments"),
+    ],
+    ids=["eq4-no-n", "id1-no-s", "eq4-n-twice", "thm1-cap-by-position"],
+)
+def test_a_bad_call_names_the_check_parameter(call, message):
+    with pytest.raises(TypeError) as raised:
+        call()
+    assert str(raised.value) == message
+
+
 def test_corrupted_formula_yields_failure_payload(monkeypatch):
     real = trib.overshoot_poly
 

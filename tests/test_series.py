@@ -149,3 +149,40 @@ def test_inverse_truncation_coherence(u):
 def test_common_factor_cancels_in_rational_expand(a, b, d):
     # clearing a denominator multiplies numerator and denominator alike
     assert rational_expand(a * d, b * d) == rational_expand(a, b)
+
+
+# runs of zero coefficients between nonzero ones, in a series that is either
+# short (at most two leading terms) or may fill its whole order
+nonzero_polys = st.lists(st.integers(-4, 4), min_size=1, max_size=3).filter(any).map(Polynomial)
+zero_runs = st.integers(1, 3).map(lambda k: [ZERO] * k)
+
+
+@st.composite
+def sparse_series(draw, order: int, unit: bool = False) -> TruncatedSeries:
+    runs = draw(st.lists(st.one_of(nonzero_polys.map(lambda p: [p]), zero_runs), max_size=9))
+    terms = ([ONE] if unit else []) + [c for run in runs for c in run]
+    size = draw(st.sampled_from([2, order + 1]))
+    return TruncatedSeries(terms[: min(size, order + 1)], order)
+
+
+def _at(series: TruncatedSeries, point: int) -> list[int]:
+    return [sum(c * point**e for e, c in enumerate(p.coeffs)) for p in series.coeffs]
+
+
+def _convolve(f: list[int], g: list[int], order: int) -> list[int]:
+    out = [0] * (order + 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            if i + j <= order:
+                out[i + j] += a * b
+    return out
+
+
+@given(st.data(), st.integers(0, 8), st.integers(-3, 3))
+def test_series_arithmetic_matches_plain_int_convolution(data, order, point):
+    # evaluating every coefficient at x = point is a ring homomorphism, so
+    # the series product and inverse must agree with plain-int convolution
+    a, b = data.draw(sparse_series(order)), data.draw(sparse_series(order))
+    assert _at(a * b, point) == _convolve(_at(a, point), _at(b, point), order)
+    u = data.draw(sparse_series(order, unit=True))
+    assert _convolve(_at(u, point), _at(u.inverse(), point), order) == [1] + [0] * order
