@@ -43,7 +43,10 @@ FAMILIES = {
 def _range_arg(text: str) -> tuple[int, int]:
     """Parse 'a..b' (inclusive) or a single 'a' as the degenerate range."""
     lo, sep, hi = text.partition("..")
-    return (int(lo), int(hi if sep else lo))
+    try:
+        return (int(lo), int(hi if sep else lo))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a..b or a single integer, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,9 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("ALL",) + identities.ALL_IDENTITY_IDS,
         help="identity id, or 'all' for the whole catalog",
     )
-    p.add_argument("--n", type=_range_arg, default=None, dest="n_range", help="n range a..b")
-    p.add_argument("--s", type=_range_arg, default=None, dest="s_range", help="s range a..b")
-    p.add_argument("--h", type=_range_arg, default=None, dest="h_range", help="h range a..b")
+    p.add_argument("--n", type=_range_arg, dest="n_range", metavar="A..B", help="n range a..b")
+    p.add_argument("--s", type=_range_arg, dest="s_range", metavar="A..B", help="s range a..b")
+    p.add_argument("--h", type=_range_arg, dest="h_range", metavar="A..B", help="h range a..b")
     p.add_argument(
         "--order",
         type=int,

@@ -82,10 +82,10 @@ class Identity:
     ``check`` is the module's ``verify_*`` function; ``params`` are the names
     of its positional parameters, which every report carries.  ``axes`` maps
     each grid axis, in sweep order, to its default: an ``(lo, hi)`` range, a
-    single int, or a callable of the parameters before it that returns
-    either.  A single-int axis the check does not take positionally is
-    passed as a keyword; a range axis it does not take only gates the sweep,
-    which yields nothing when that range is empty.
+    single int ``v`` (the one-value span ``(v, v)``), or a callable of the
+    parameters before it that returns either.  A single-int axis the check
+    does not take positionally is passed as a keyword; a range axis it does
+    not take only gates the sweep: an empty range yields no points.
     """
 
     id: str
@@ -109,7 +109,7 @@ def _identity(identity_id: str, precondition: Callable[..., bool], **axes: objec
 
         @functools.wraps(sides)
         def check(*args: int, **options: int) -> IdentityReport:
-            if len(args) != len(names):  # parameters passed by name, or a bad call
+            if options or len(args) != len(names):  # bind first: bad calls raise at every point
                 options = signature.bind(*args, **options).arguments
                 args = tuple(options.pop(n) for n in names)
             params = dict(zip(names, args))
@@ -118,13 +118,12 @@ def _identity(identity_id: str, precondition: Callable[..., bool], **axes: objec
             started = time.perf_counter()
             try:
                 lhs, rhs = sides(*args, **options)
+                status = PASSED if lhs == rhs else FAILED
             except tilings.EnumerationCapError:
-                elapsed = (time.perf_counter() - started) * 1000.0
-                return IdentityReport(identity_id, params, RESOURCE_LIMITED, elapsed)
+                status = RESOURCE_LIMITED
             elapsed = (time.perf_counter() - started) * 1000.0
-            if lhs == rhs:
-                return IdentityReport(identity_id, params, PASSED, elapsed)
-            return IdentityReport(identity_id, params, FAILED, elapsed, lhs=str(lhs), rhs=str(rhs))
+            shown = (str(lhs), str(rhs)) if status == FAILED else ()
+            return IdentityReport(identity_id, params, status, elapsed, *shown)
 
         CATALOG[identity_id] = Identity(identity_id, check, names, axes)
         return check
@@ -404,11 +403,9 @@ def _points(entry: Identity, cfg: GridConfig) -> tuple[list[tuple[int, ...]], di
         grown = []
         for point in points:
             span = bounds(*point) if callable(bounds) else bounds
-            if isinstance(span, int):
-                grown.append((*point, span))
-            else:
-                for value in range(span[0], span[1] + 1):
-                    grown.append((*point, value))
+            lo, hi = (span, span) if isinstance(span, int) else span
+            for value in range(lo, hi + 1):
+                grown.append((*point, value))
         points = grown
     return points, options
 

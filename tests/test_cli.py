@@ -218,6 +218,15 @@ def test_verify_unknown_identity_rejected(capsys):
     assert "invalid choice" in err
 
 
+@pytest.mark.parametrize("text", ["1..x", "..3", "3..1..2"])
+def test_a_malformed_range_names_its_flag(capsys, text):
+    code, out, err = run_cli(capsys, "verify", "eq4", "--n", text)
+    assert code == 2
+    assert out == ""
+    assert f"argument --n: expected a..b or a single integer, got '{text}'" in err
+    assert "_range_arg" not in err
+
+
 def test_verify_json_shape(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "eq12", "--n", "1..8", "--s", "0..1", "--format", "json"

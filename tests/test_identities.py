@@ -109,6 +109,19 @@ def test_a_bad_call_names_the_check_parameter(call, message):
     assert str(raised.value) == message
 
 
+# an unknown keyword is refused whether the point would be judged or filtered
+@pytest.mark.parametrize("identity_id", list(ident.CATALOG))
+def test_every_check_rejects_an_unknown_keyword(identity_id):
+    entry = ident.CATALOG[identity_id]
+    judged = ident._points(entry, GridConfig())[0][0]
+    filtered = (-1,) * len(entry.params)
+    assert entry.check(*judged).status != "filtered"
+    assert entry.check(*filtered).status == "filtered"
+    for point in (judged, filtered):
+        with pytest.raises(TypeError, match="got an unexpected keyword argument 'bogus'"):
+            entry.check(*point, bogus=1)
+
+
 def test_corrupted_formula_yields_failure_payload(monkeypatch):
     real = trib.overshoot_poly
 
