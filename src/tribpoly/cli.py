@@ -49,6 +49,22 @@ def _range_arg(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected a..b or a single integer, got {text!r}")
 
 
+_RANGE_FLAGS = ("--n", "--s", "--h")
+
+
+def _glue_ranges(argv: Sequence[str]) -> list[str]:
+    """``--n -1..2`` as ``--n=-1..2``.  argparse reads a token that starts
+    with ``-`` and is not a plain number as an option, so a range with a
+    negative lower end is glued to its flag before parsing."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _RANGE_FLAGS and token[:1] == "-" and token[1:2].isdigit():
+            out[-1] += f"={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     formatted = argparse.ArgumentParser(add_help=False)
     formatted.add_argument(
@@ -230,7 +246,7 @@ def _cmd_gf(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_glue_ranges(sys.argv[1:] if argv is None else argv))
     # Python (3.10.7 on) refuses str(int) past 4,300 digits, and family
     # values get longer; lift that limit for this call only, if there is one
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()

@@ -183,10 +183,12 @@ def verify_id1(n: int, s: int, h: int):
 
 
 def _all_levels(n: int) -> Polynomial:
-    """Sum of the index-(n+1) incomplete polynomials over every level."""
-    total = ZERO
+    """Sum of the index-(n+1) incomplete polynomials over every level, each
+    member the one before it plus its level's triangle entry."""
+    member = total = ZERO
     for s in range(n // 2 + 1):
-        total = total + trib.incomplete_tribonacci_poly(n + 1, s)
+        member = member + trib.triangle_poly(n - s, s)
+        total = total + member
     return total
 
 

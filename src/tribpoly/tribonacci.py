@@ -34,11 +34,21 @@ def binom(a: int, b: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# a memo of the polynomials only; the lock makes each extension step (read
-# three members, append one) atomic, and computed members are read without it
+# the polynomials are memoised up to MEMO_BOUND; a farther member is walked
+# by a three-member window, from the memo's end or from the last walk's
+# window, whichever is nearer, and only the last window is kept.  The lock
+# is held only to extend the memo, whose length is checked again under it,
+# so racing threads never append past the bound.  Computed members are read
+# without it, and a window is walked outside it and published by one tuple
+# assignment.
+
+# index of the last memoised member; the memo holds about 3.8 MB
+MEMO_BOUND = 400
 
 _cache_lock = threading.Lock()
 _polys: list[Polynomial] = [ZERO, ONE, _X_SQUARED]
+# (k, T(k - 2), T(k - 1), T(k)) of the last walk past the memo, if any
+_window: tuple[int, Polynomial, Polynomial, Polynomial] | None = None
 
 
 def tribonacci_number(n: int) -> int:
@@ -53,20 +63,49 @@ def tribonacci_number(n: int) -> int:
     return a
 
 
+def _next_poly(a: Polynomial, b: Polynomial, c: Polynomial) -> Polynomial:
+    """T(k + 1) from T(k - 2), T(k - 1), T(k): x^2 T(k) + x T(k-1) + T(k-2),
+    summed coefficient by coefficient."""
+    shifted = zip_longest((0, 0, *c.coeffs), (0, *b.coeffs), a.coeffs, fillvalue=0)
+    return Polynomial._trusted([p + q + r for p, q, r in shifted])
+
+
+def _prev_poly(a: Polynomial, b: Polynomial, c: Polynomial) -> Polynomial:
+    """T(k - 3) from T(k - 2), T(k - 1), T(k): the same step solved for its
+    last term, T(k) - x^2 T(k-1) - x T(k-2)."""
+    shifted = zip_longest(c.coeffs, (0, 0, *b.coeffs), (0, *a.coeffs), fillvalue=0)
+    return Polynomial._trusted([p - q - r for p, q, r in shifted])
+
+
 def tribonacci_poly(n: int) -> Polynomial:
-    """n-th tribonacci polynomial via the x^2/x/1 weighted recurrence."""
+    """n-th tribonacci polynomial via the x^2/x/1 weighted recurrence.
+
+    Past ``MEMO_BOUND``, members near the last one asked for, on either
+    side, cost a few steps each; a run of them read in order walks each
+    step once."""
+    global _window
+    if 0 <= n < len(_polys):
+        return _polys[n]
     if n == -1:
         return ZERO
     if n < -1:
         raise ValueError(f"tribonacci index must be >= -1, got {n}")
-    while len(_polys) <= n:
+    if n <= MEMO_BOUND:
         with _cache_lock:
-            # x^2 T(k-1) + x T(k-2) + T(k-3), summed coefficient by coefficient
-            shifted = zip_longest(
-                (0, 0, *_polys[-1].coeffs), (0, *_polys[-2].coeffs), _polys[-3].coeffs, fillvalue=0
-            )
-            _polys.append(Polynomial._trusted([a + b + c for a, b, c in shifted]))
-    return _polys[n]
+            while len(_polys) <= n:
+                _polys.append(_next_poly(*_polys[-3:]))
+        return _polys[n]
+    window = _window
+    if window is None or n - MEMO_BOUND < window[0] - 2 - n:
+        window = (MEMO_BOUND, *map(tribonacci_poly, range(MEMO_BOUND - 2, MEMO_BOUND + 1)))
+    k, a, b, c = window
+    while k < n:
+        k, a, b, c = k + 1, b, c, _next_poly(a, b, c)
+    while k - 2 > n:
+        k, a, b, c = k - 1, _prev_poly(a, b, c), a, b
+    if k != window[0]:
+        _window = window = (k, a, b, c)
+    return window[n - k + 3]
 
 
 def _triangle_sum(parts: Iterable[tuple[int, int, int, int]]) -> Polynomial:

@@ -227,6 +227,25 @@ def test_a_malformed_range_names_its_flag(capsys, text):
     assert "_range_arg" not in err
 
 
+@pytest.mark.parametrize(
+    "spaced",
+    [
+        ("--n", "-1..2"),
+        ("--n", "-1..x"),
+        ("--n", "-3"),
+        ("--s", "-1..1", "--n", "-2..3", "--h", "-1..1"),
+        ("--n", "1..4", "--s", "-2..0"),
+    ],
+)
+def test_a_range_with_a_negative_start_parses_spaced(capsys, spaced):
+    # argparse would read "-1..2" as an option; the spaced form must print
+    # what the "=" form prints, byte for byte
+    glued = [f"{flag}={value}" for flag, value in zip(spaced[::2], spaced[1::2])]
+    result = run_cli(capsys, "verify", "id1", *spaced)
+    assert result == run_cli(capsys, "verify", "id1", *glued)
+    assert result[0] == (2 if "-1..x" in spaced else 0)
+
+
 def test_verify_json_shape(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "eq12", "--n", "1..8", "--s", "0..1", "--format", "json"
@@ -413,6 +432,38 @@ def test_result_too_large_to_allocate_is_a_usage_error(command):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert len(proc.stderr) > len("error: \n")
     assert "Traceback" not in proc.stderr
+
+
+# ----------------------------------------------------------------------
+# peak memory follows the request, not the memo's history
+
+# The child runs one command line and reports its own peak RSS, in KiB, on
+# stderr.  It reads VmHWM, not ru_maxrss: Linux carries the forking
+# process's peak over into the ru_maxrss of a child it execs, so a large
+# test process would be counted too.
+_REPORT_PEAK = (
+    "import sys\n"
+    "from tribpoly import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "with open('/proc/self/status') as status:\n"
+    "    peak = next(line.split()[1] for line in status if line.startswith('VmHWM:'))\n"
+    "print(peak, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux's /proc/self/status")
+def test_a_far_member_keeps_peak_memory_small():
+    # a memo of every member up to 1400 peaked at about 104 MB
+    proc = subprocess.run(
+        [sys.executable, "-c", _REPORT_PEAK, "compute", "trib-poly", "1400", "--format", "json"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["indices"] == [1400]
+    assert int(proc.stderr) / 1024 < 48
 
 
 # ----------------------------------------------------------------------

@@ -54,6 +54,7 @@ COEFFICIENT_CASES = [
     ("triangle_poly", (120, 40)),
     ("tribonacci_poly_explicit", (399,)),
     ("tribonacci_poly", (400,)),
+    ("tribonacci_poly", (trib.MEMO_BOUND + 1,)),  # the first member past the memo
     ("incomplete_fibonacci_poly", (250, 70)),
 ]
 

@@ -1,4 +1,6 @@
+import functools
 import math
+import random
 import threading
 
 import pytest
@@ -259,3 +261,94 @@ def test_triangle_sum_matches_its_definition(parts):
     result = trib._triangle_sum(parts)
     assert result == triangle_sum_by_definition(parts)
     assert not result.coeffs or result.coeffs[-1] != 0
+
+
+# ----------------------------------------------------------------------
+# the memo bound: members past it are walked, never kept
+
+FAR_RUN = range(trib.MEMO_BOUND - 3, trib.MEMO_BOUND + 61)
+
+
+@functools.lru_cache(maxsize=None)
+def plain_recurrence(top: int) -> tuple[Polynomial, ...]:
+    """T(0..top), one member after another, in one thread and with no memo."""
+    members = [ZERO, Polynomial((1,)), poly_of({2: 1})]
+    while len(members) <= top:
+        step = members[-1].times_monomial(1, 2) + members[-2].times_monomial(1, 1)
+        members.append(step + members[-3])
+    return tuple(members)
+
+
+@pytest.fixture
+def cold_memo(monkeypatch):
+    monkeypatch.setattr(trib, "_polys", [ZERO, Polynomial((1,)), poly_of({2: 1})])
+    monkeypatch.setattr(trib, "_window", None)
+
+
+def test_memo_stays_within_its_bound_after_a_far_member(cold_memo):
+    far = tribonacci_poly(3000)
+    assert len(trib._polys) <= trib.MEMO_BOUND + 1
+    assert far.evaluate(1) == tribonacci_number(3000)
+    assert far.coeffs[-1] == 1 and len(far.coeffs) == 2 * 3000 - 1
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_members_past_the_bound_match_the_plain_recurrence(cold_memo, order):
+    indices = list(FAR_RUN)
+    if order == "descending":
+        indices.reverse()
+    elif order == "shuffled":
+        random.Random(16).shuffle(indices)
+    expected = plain_recurrence(FAR_RUN[-1])
+    for n in indices:
+        assert tribonacci_poly(n) == expected[n], n
+    assert len(trib._polys) == trib.MEMO_BOUND + 1
+
+
+def test_a_run_past_the_bound_walks_each_step_once(cold_memo, monkeypatch):
+    steps = []
+
+    def counted(name):
+        real = getattr(trib, name)
+
+        def step(*members):
+            steps.append(name)
+            return real(*members)
+
+        return step
+
+    for name in ("_next_poly", "_prev_poly"):
+        monkeypatch.setattr(trib, name, counted(name))
+    top = trib.MEMO_BOUND + 60
+    tribonacci_poly(top)  # the window now holds T(top - 2), T(top - 1), T(top)
+    steps.clear()
+    for n in reversed(range(trib.MEMO_BOUND + 1, top)):
+        tribonacci_poly(n)
+    assert steps == ["_prev_poly"] * 57  # T(top - 3) down to T(MEMO_BOUND + 1)
+    steps.clear()
+    for n in range(trib.MEMO_BOUND + 2, top + 1):
+        tribonacci_poly(n)
+    assert steps == ["_next_poly"] * 57  # T(MEMO_BOUND + 4) up to T(top)
+
+
+def test_far_members_are_thread_safe(cold_memo):
+    start = threading.Barrier(8)
+    results: list[dict[int, Polynomial]] = []
+
+    def worker(seed):
+        indices = list(FAR_RUN)
+        random.Random(seed).shuffle(indices)
+        if seed % 2:  # odd seeds ascend (3, 7) or descend (1, 5)
+            indices.sort(reverse=seed % 4 == 1)
+        start.wait()
+        results.append({n: tribonacci_poly(n) for n in indices})
+
+    threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    expected = plain_recurrence(FAR_RUN[-1])
+    assert len(results) == 8
+    assert all(r == {n: expected[n] for n in FAR_RUN} for r in results)
+    assert trib._polys == list(expected[: trib.MEMO_BOUND + 1])
