@@ -16,6 +16,28 @@ def _not_exact(value: object) -> TypeError:
     return TypeError(f"polynomial coefficients must be exact integers, got {type(value).__name__}")
 
 
+def _terms(coeffs: Sequence[int]) -> list[tuple[int, int]]:
+    """The nonzero ``(exponent, coefficient)`` pairs of a coefficient list."""
+    return [(e, c) for e, c in enumerate(coeffs) if c]
+
+
+def _mul_add(
+    out: list[int], a_terms: list[tuple[int, int]], b_terms: list[tuple[int, int]]
+) -> None:
+    """Add ``a[e] * b[f]`` into ``out[e + f]`` over the nonzero terms of both,
+    first growing ``out`` with zeros to hold the product.
+
+    The one schoolbook multiply of the package: ``Polynomial.__mul__`` and
+    the series products accumulate into plain int lists through it."""
+    if not a_terms or not b_terms:
+        return
+    if (grow := a_terms[-1][0] + b_terms[-1][0] + 1 - len(out)) > 0:
+        out += [0] * grow
+    for e, x in a_terms:
+        for f, y in b_terms:
+            out[e + f] += x * y
+
+
 class Polynomial:
     """Dense integer polynomial; ``coeffs[k]`` is the coefficient of ``x**k``.
 
@@ -145,15 +167,8 @@ class Polynomial:
             return Polynomial._trusted([other * c for c in self._coeffs])
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if not a or not b:
-            return Polynomial()
-        out = [0] * (len(a) + len(b) - 1)
-        b_terms = [(j, bj) for j, bj in enumerate(b) if bj]
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in b_terms:
-                    out[i + j] += ai * bj
+        out: list[int] = []
+        _mul_add(out, _terms(self._coeffs), _terms(other._coeffs))
         return Polynomial._trusted(out)
 
     __rmul__ = __mul__

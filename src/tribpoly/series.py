@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Union
 
-from .poly import ONE, Polynomial, ZERO
+from .poly import ONE, Polynomial, ZERO, _mul_add, _terms
 
 CoeffLike = Union[Polynomial, int]
 
@@ -38,6 +38,16 @@ class TruncatedSeries:
         coeffs.extend([ZERO] * (order + 1 - len(coeffs)))
         self._order = order
         self._coeffs = tuple(coeffs)
+
+    @classmethod
+    def _trusted(cls, polys: Iterable[Polynomial], order: int) -> "TruncatedSeries":
+        """Package-internal constructor for exactly ``order + 1`` Polynomial
+        coefficients that the package's own arithmetic has just made: nothing
+        is coerced, padded or checked.  Public input goes through ``__init__``."""
+        series = object.__new__(cls)
+        series._order = order
+        series._coeffs = tuple(polys)
+        return series
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
@@ -80,12 +90,12 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._require_same_order(other)
-        return TruncatedSeries(
-            (a + b for a, b in zip(self._coeffs, other._coeffs)), self._order
+        return TruncatedSeries._trusted(
+            [a + b for a, b in zip(self._coeffs, other._coeffs)], self._order
         )
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries((-a for a in self._coeffs), self._order)
+        return TruncatedSeries._trusted([-a for a in self._coeffs], self._order)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
@@ -97,15 +107,18 @@ class TruncatedSeries:
             return NotImplemented
         self._require_same_order(other)
         n = self._order
-        out = [ZERO] * (n + 1)
-        b_terms = [(j, b) for j, b in enumerate(other._coeffs) if b]
+        # the x-terms of each nonzero z-coefficient, collected once per call;
+        # each z^k of the product is then summed in one int list
+        b_terms = [(j, _terms(b.coeffs)) for j, b in enumerate(other._coeffs) if b]
+        out: list[list[int]] = [[] for _ in range(n + 1)]
         for i, a in enumerate(self._coeffs):
             if a:
+                a_terms = _terms(a.coeffs)
                 for j, b in b_terms:
                     if i + j > n:
                         break
-                    out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(out, n)
+                    _mul_add(out[i + j], a_terms, b)
+        return TruncatedSeries._trusted([Polynomial._trusted(c) for c in out], n)
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         if not isinstance(exponent, int) or exponent < 0:
@@ -120,27 +133,42 @@ class TruncatedSeries:
 
         Solving self * inv = 1 degree by degree gives the recurrence inv[0] = 1,
         inv[k] = -sum(self[j] * inv[k - j]) over the nonzero self[j], 1 <= j <= k.
+        Each inv[k] is summed in one int list, from the numerator's z^k
+        coefficient (1 at k = 0, else 0) and the negated self[j].
         """
         if self._coeffs[0] != ONE:
             raise ValueError("series inverse requires constant coefficient 1")
-        d_terms = [(j, d) for j, d in enumerate(self._coeffs) if j and d]
-        inv = [ONE]
-        for k in range(1, self._order + 1):
-            inv.append(-sum((d * inv[k - j] for j, d in d_terms if j <= k), ZERO))
-        return TruncatedSeries(inv, self._order)
+        minus_d = [
+            (j, [(e, -c) for e, c in _terms(d.coeffs)])
+            for j, d in enumerate(self._coeffs)
+            if j and d
+        ]
+        inv: list[Polynomial] = []
+        inv_terms: list[list[tuple[int, int]]] = []
+        for k in range(self._order + 1):
+            acc = [1] if k == 0 else []
+            for j, d in minus_d:
+                if j > k:
+                    break
+                _mul_add(acc, d, inv_terms[k - j])
+            inv.append(Polynomial._trusted(acc))
+            inv_terms.append(_terms(acc))
+        return TruncatedSeries._trusted(inv, self._order)
 
     def shifted(self, k: int) -> "TruncatedSeries":
         """Multiply by z**k, discarding what truncation pushes past the order."""
         if k < 0:
             raise ValueError(f"shift must be >= 0, got {k}")
         kept = self._coeffs[: max(0, self._order + 1 - k)]
-        return TruncatedSeries((ZERO,) * min(k, self._order + 1) + kept, self._order)
+        return TruncatedSeries._trusted((ZERO,) * min(k, self._order + 1) + kept, self._order)
 
     def truncated(self, order: int) -> "TruncatedSeries":
         """The same series at a lower (or equal) order."""
         if order > self._order:
             raise ValueError(f"cannot extend order {self._order} to {order}")
-        return TruncatedSeries(self._coeffs[: order + 1], order)
+        if order < 0:
+            raise ValueError(f"series order must be >= 0, got {order}")
+        return TruncatedSeries._trusted(self._coeffs[: order + 1], order)
 
     # ------------------------------------------------------------------
     # rendering / serialization

@@ -35,20 +35,22 @@ def binom(a: int, b: int) -> int:
 
 # ----------------------------------------------------------------------
 # the polynomials are memoised up to MEMO_BOUND; a farther member is walked
-# by a three-member window, from the memo's end or from the last walk's
-# window, whichever is nearer, and only the last window is kept.  The lock
-# is held only to extend the memo, whose length is checked again under it,
-# so racing threads never append past the bound.  Computed members are read
-# without it, and a window is walked outside it and published by one tuple
-# assignment.
+# by a three-member window, from the memo's end or from one of the last two
+# walks' windows, whichever is nearest.  The walked window is kept with its
+# start, or, when the two overlap, with the other kept window, so that a
+# sweep reading two places per point walks each place forward a step.  The
+# lock is held only to extend the memo, whose length is checked again under
+# it, so racing threads never append past the bound.  Computed members are
+# read without it, and windows are walked outside it and published by one
+# tuple assignment.
 
 # index of the last memoised member; the memo holds about 3.8 MB
 MEMO_BOUND = 400
 
 _cache_lock = threading.Lock()
 _polys: list[Polynomial] = [ZERO, ONE, _X_SQUARED]
-# (k, T(k - 2), T(k - 1), T(k)) of the last walk past the memo, if any
-_window: tuple[int, Polynomial, Polynomial, Polynomial] | None = None
+# windows (k, T(k - 2), T(k - 1), T(k)) past the memo, the last walk's first
+_window: tuple[tuple[int, Polynomial, Polynomial, Polynomial], ...] | None = None
 
 
 def tribonacci_number(n: int) -> int:
@@ -80,9 +82,9 @@ def _prev_poly(a: Polynomial, b: Polynomial, c: Polynomial) -> Polynomial:
 def tribonacci_poly(n: int) -> Polynomial:
     """n-th tribonacci polynomial via the x^2/x/1 weighted recurrence.
 
-    Past ``MEMO_BOUND``, members near the last one asked for, on either
-    side, cost a few steps each; a run of them read in order walks each
-    step once."""
+    Past ``MEMO_BOUND``, members near one of the last two walked to, on
+    either side, cost a few steps each; a run of them read in order walks
+    each step once."""
     global _window
     if 0 <= n < len(_polys):
         return _polys[n]
@@ -95,17 +97,20 @@ def tribonacci_poly(n: int) -> Polynomial:
             while len(_polys) <= n:
                 _polys.append(_next_poly(*_polys[-3:]))
         return _polys[n]
-    window = _window
-    if window is None or n - MEMO_BOUND < window[0] - 2 - n:
-        window = (MEMO_BOUND, *map(tribonacci_poly, range(MEMO_BOUND - 2, MEMO_BOUND + 1)))
-    k, a, b, c = window
+    kept = _window or ()
+    # the fewest steps; on a tie a kept window, and the memo's end last
+    start = min((*kept, (MEMO_BOUND,)), key=lambda w: max(n - w[0], w[0] - 2 - n))
+    if start[0] == MEMO_BOUND:
+        start = (MEMO_BOUND, *map(tribonacci_poly, range(MEMO_BOUND - 2, MEMO_BOUND + 1)))
+    k, a, b, c = start
     while k < n:
         k, a, b, c = k + 1, b, c, _next_poly(a, b, c)
     while k - 2 > n:
         k, a, b, c = k - 1, _prev_poly(a, b, c), a, b
-    if k != window[0]:
-        _window = window = (k, a, b, c)
-    return window[n - k + 3]
+    if k != start[0]:
+        others = [w for w in (start, *kept) if w[0] > MEMO_BOUND and abs(w[0] - k) > 2]
+        _window = ((k, a, b, c), *others[:1])
+    return (a, b, c)[n - k + 2]
 
 
 def _triangle_sum(parts: Iterable[tuple[int, int, int, int]]) -> Polynomial:

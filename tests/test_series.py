@@ -186,3 +186,89 @@ def test_series_arithmetic_matches_plain_int_convolution(data, order, point):
     assert _at(a * b, point) == _convolve(_at(a, point), _at(b, point), order)
     u = data.draw(sparse_series(order, unit=True))
     assert _convolve(_at(u, point), _at(u.inverse(), point), order) == [1] + [0] * order
+
+
+# an exact reference over (z, x): a series as a list of int lists, one per
+# z-power, multiplied by nested loops and stripped by hand
+
+
+def _ints(series: TruncatedSeries) -> list[list[int]]:
+    return [list(p.coeffs) for p in series.coeffs]
+
+
+def _strip(coeffs: list[int]) -> tuple[int, ...]:
+    while coeffs and coeffs[-1] == 0:
+        coeffs = coeffs[:-1]
+    return tuple(coeffs)
+
+
+def _plain_mul(f: list[int], g: list[int]) -> list[int]:
+    out = [0] * max(0, len(f) + len(g) - 1)
+    for e, a in enumerate(f):
+        for d, b in enumerate(g):
+            out[e + d] += a * b
+    return out
+
+
+def _plain_add(f: list[int], g: list[int]) -> list[int]:
+    out = [0] * max(len(f), len(g))
+    for e, a in enumerate(f):
+        out[e] += a
+    for e, b in enumerate(g):
+        out[e] += b
+    return out
+
+
+def _plain_series_mul(f: list[list[int]], g: list[list[int]], order: int) -> list[tuple[int, ...]]:
+    out: list[list[int]] = [[] for _ in range(order + 1)]
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            if i + j <= order:
+                out[i + j] = _plain_add(out[i + j], _plain_mul(a, b))
+    return [_strip(c) for c in out]
+
+
+def _plain_inverse(u: list[list[int]]) -> list[tuple[int, ...]]:
+    inv: list[list[int]] = [[1]]
+    for k in range(1, len(u)):
+        total: list[int] = []
+        for j in range(1, k + 1):
+            total = _plain_add(total, _plain_mul(u[j], inv[k - j]))
+        inv.append([-c for c in total])
+    return [_strip(c) for c in inv]
+
+
+def _series(coeffs: list[list[int]], order: int) -> TruncatedSeries:
+    return TruncatedSeries([Polynomial(c) for c in coeffs[: order + 1]], order)
+
+
+@st.composite
+def cancelling_pair(draw, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
+    # a = p + q z and b = p t + (e - q t) z: the z^1 coefficient of a * b is
+    # p e, all of whose terms cancel when e = 0, and its top ones when e is low
+    p, q, t = (list(draw(nonzero_polys).coeffs) for _ in range(3))
+    e = list(draw(small_polys).coeffs)
+    a = [p, q]
+    b = [_plain_mul(p, t), _plain_add(e, [-c for c in _plain_mul(q, t)])]
+    return _series(a, order), _series(b, order)
+
+
+@st.composite
+def cancelling_unit(draw, order: int) -> TruncatedSeries:
+    # 1 + p z + p^2 z^2 has the inverse (1 - p z) / (1 - p^3 z^3), so its
+    # z^2, z^5, ... coefficients are sums that cancel to zero
+    p = list(draw(nonzero_polys).coeffs)
+    return _series([[1], p, _plain_mul(p, p)], order)
+
+
+@given(st.data(), st.integers(0, 8))
+def test_series_arithmetic_matches_an_exact_int_list_reference(data, order):
+    # coefficient tuples, so a wrong coefficient of any degree or a trailing
+    # zero left behind shows, and a cancelled z-coefficient must be ZERO
+    a, b = data.draw(
+        st.one_of(st.tuples(sparse_series(order), sparse_series(order)), cancelling_pair(order))
+    )
+    expected = _plain_series_mul(_ints(a), _ints(b), order)
+    assert [p.coeffs for p in (a * b).coeffs] == expected
+    u = data.draw(st.one_of(sparse_series(order, unit=True), cancelling_unit(order)))
+    assert [p.coeffs for p in u.inverse().coeffs] == _plain_inverse(_ints(u))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from tribpoly import tribonacci as trib
 from tribpoly import (
+    GridConfig,
     Polynomial,
     ZERO,
     binom,
@@ -17,6 +18,7 @@ from tribpoly import (
     incomplete_tribonacci_poly,
     overshoot_generating_series,
     overshoot_poly,
+    run_grid,
     triangle_poly,
     tribonacci_number,
     tribonacci_poly,
@@ -329,6 +331,20 @@ def test_a_run_past_the_bound_walks_each_step_once(cold_memo, monkeypatch):
     for n in range(trib.MEMO_BOUND + 2, top + 1):
         tribonacci_poly(n)
     assert steps == ["_next_poly"] * 57  # T(MEMO_BOUND + 4) up to T(top)
+
+
+def test_a_sweep_reading_two_far_places_walks_about_two_steps_a_point(cold_memo, monkeypatch):
+    # EQ13 at n reads T(n - 10 .. n - 8) and then T(n), so one window per
+    # place moves forward a step at each point
+    steps = []
+    for name in ("_next_poly", "_prev_poly"):
+        real = getattr(trib, name)
+        monkeypatch.setattr(trib, name, lambda *m, real=real: steps.append(1) or real(*m))
+    points = range(800, 901)
+    reports = run_grid(GridConfig(n_range=(points[0], points[-1]), s_range=(4, 4)), ["EQ13"])
+    assert [r.status for r in reports] == ["passed"] * len(points)
+    first = points[0] - 2  # T(3) .. T(800), into the memo and then past it
+    assert len(steps) <= first + 3 * (len(points) - 1)
 
 
 def test_far_members_are_thread_safe(cold_memo):
