@@ -5,6 +5,12 @@ z^0 .. z^N.  Arithmetic is exact and closed under the truncation: the
 product of two order-N series is the true product with every term above
 z^N discarded, so any chain of operations at a common order agrees with
 the untruncated computation up to that order.
+
+A product or an inverse sums each z-coefficient in one plain int list,
+through the multiply-accumulate kernel that ``Polynomial.__mul__`` uses
+too, and builds one Polynomial per z-coefficient at the end.  So its time
+goes to the kernel's term products, one int multiply-add per pair of
+nonzero x-terms, and not to a Polynomial per product and per partial sum.
 """
 
 from __future__ import annotations
@@ -204,5 +210,10 @@ def rational_expand(numerator: TruncatedSeries, denominator: TruncatedSeries) ->
     the inverse then sums few terms per coefficient, and the product walks
     the inverse's nonzero terms and skips the numerator's zero coefficients.
     Clear dense denominators first, as ``identities``' generating functions do.
+    At order 120 most of the closed form's time is spent here, in the
+    kernel's term products: at s = 4, about two thirds of it goes to the
+    product with the numerator and a quarter to the inverse.  The recurrence
+    out[k] = N[k] - sum D[j] out[k - j] would fold that product into the
+    inverse's loop.
     """
     return numerator * denominator.inverse()

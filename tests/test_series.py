@@ -203,11 +203,7 @@ def _strip(coeffs: list[int]) -> tuple[int, ...]:
 
 
 def _plain_mul(f: list[int], g: list[int]) -> list[int]:
-    out = [0] * max(0, len(f) + len(g) - 1)
-    for e, a in enumerate(f):
-        for d, b in enumerate(g):
-            out[e + d] += a * b
-    return out
+    return _convolve(f, g, len(f) + len(g) - 2)
 
 
 def _plain_add(f: list[int], g: list[int]) -> list[int]:

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import sys
 import threading
 
 import pytest
@@ -345,6 +346,38 @@ def test_a_sweep_reading_two_far_places_walks_about_two_steps_a_point(cold_memo,
     assert [r.status for r in reports] == ["passed"] * len(points)
     first = points[0] - 2  # T(3) .. T(800), into the memo and then past it
     assert len(steps) <= first + 3 * (len(points) - 1)
+
+
+def test_two_place_sweeps_are_thread_safe_under_fast_switching(cold_memo):
+    # each thread reads T(n - 8) and T(n) per point, so the two windows are
+    # walked, replaced and published by every thread in turn
+    points = range(FAR_RUN[0] + 8, FAR_RUN[-1] + 1)
+    results: list[dict[int, Polynomial]] = []
+
+    def worker(seed):
+        order = list(points)
+        random.Random(seed).shuffle(order)
+        if seed % 2:
+            order.sort(reverse=seed % 4 == 1)
+        got = {}
+        for n in order:
+            got[n - 8], got[n] = tribonacci_poly(n - 8), tribonacci_poly(n)
+        results.append(got)
+
+    threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    expected = plain_recurrence(FAR_RUN[-1])
+    assert len(results) == 8
+    assert all(r == {n: expected[n] for n in r} and len(r) == len(FAR_RUN) for r in results)
 
 
 def test_far_members_are_thread_safe(cold_memo):
