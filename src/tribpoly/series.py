@@ -8,9 +8,11 @@ the untruncated computation up to that order.
 
 A product or an inverse sums each z-coefficient in one plain int list,
 through the multiply-accumulate kernel that ``Polynomial.__mul__`` uses
-too, and builds one Polynomial per z-coefficient at the end.  So its time
-goes to the kernel's term products, one int multiply-add per pair of
-nonzero x-terms, and not to a Polynomial per product and per partial sum.
+too, and builds one Polynomial per z-coefficient at the end.  A quotient
+N / D is the inverse's recurrence with each z^k list seeded by N's z^k
+coefficient, so no product follows it.  So the time goes to the kernel's
+term products, one int multiply-add per pair of nonzero x-terms, and not to
+a Polynomial per product and per partial sum.
 """
 
 from __future__ import annotations
@@ -134,32 +136,41 @@ class TruncatedSeries:
             result = result * self
         return result
 
-    def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse; requires constant coefficient exactly 1.
+    def inverse(self, numerator: "TruncatedSeries | None" = None) -> "TruncatedSeries":
+        """Multiplicative inverse, or ``numerator / self`` when a numerator is
+        given; requires constant coefficient exactly 1.
 
-        Solving self * inv = 1 degree by degree gives the recurrence inv[0] = 1,
-        inv[k] = -sum(self[j] * inv[k - j]) over the nonzero self[j], 1 <= j <= k.
-        Each inv[k] is summed in one int list, from the numerator's z^k
-        coefficient (1 at k = 0, else 0) and the negated self[j].
+        Solving self * out = N degree by degree gives the recurrence
+        out[k] = N[k] - sum(self[j] * out[k - j]) over the nonzero self[j],
+        1 <= j <= k, with N = 1 for the plain inverse.  Each out[k] is summed
+        in one int list, seeded with N[k]'s coefficients and accumulating the
+        negated self[j] terms.
         """
         if self._coeffs[0] != ONE:
             raise ValueError("series inverse requires constant coefficient 1")
+        if numerator is None:
+            numerator = TruncatedSeries.one(self._order)
+        elif not isinstance(numerator, TruncatedSeries):
+            raise TypeError(
+                f"series numerator must be a TruncatedSeries, got {type(numerator).__name__}"
+            )
+        numerator._require_same_order(self)
         minus_d = [
             (j, [(e, -c) for e, c in _terms(d.coeffs)])
             for j, d in enumerate(self._coeffs)
             if j and d
         ]
-        inv: list[Polynomial] = []
-        inv_terms: list[list[tuple[int, int]]] = []
-        for k in range(self._order + 1):
-            acc = [1] if k == 0 else []
+        out: list[Polynomial] = []
+        out_terms: list[list[tuple[int, int]]] = []
+        for k, n_k in enumerate(numerator._coeffs):
+            acc = list(n_k.coeffs)
             for j, d in minus_d:
                 if j > k:
                     break
-                _mul_add(acc, d, inv_terms[k - j])
-            inv.append(Polynomial._trusted(acc))
-            inv_terms.append(_terms(acc))
-        return TruncatedSeries._trusted(inv, self._order)
+                _mul_add(acc, d, out_terms[k - j])
+            out.append(Polynomial._trusted(acc))
+            out_terms.append(_terms(acc))
+        return TruncatedSeries._trusted(out, self._order)
 
     def shifted(self, k: int) -> "TruncatedSeries":
         """Multiply by z**k, discarding what truncation pushes past the order."""
@@ -206,14 +217,13 @@ class TruncatedSeries:
 def rational_expand(numerator: TruncatedSeries, denominator: TruncatedSeries) -> TruncatedSeries:
     """Expand numerator / denominator; the denominator's constant term must be 1.
 
-    Cheap when both are short, nonzero only in their first few z-powers:
-    the inverse then sums few terms per coefficient, and the product walks
-    the inverse's nonzero terms and skips the numerator's zero coefficients.
-    Clear dense denominators first, as ``identities``' generating functions do.
-    At order 120 most of the closed form's time is spent here, in the
-    kernel's term products: at s = 4, about two thirds of it goes to the
-    product with the numerator and a quarter to the inverse.  The recurrence
-    out[k] = N[k] - sum D[j] out[k - j] would fold that product into the
-    inverse's loop.
+    One pass of the recurrence out[k] = N[k] - sum D[j] out[k - j], through
+    ``denominator.inverse(numerator)``: each out[k] costs the term products
+    of the denominator's nonzero z-coefficients with the earlier outputs, so
+    a short denominator makes the expansion cheap however long the numerator
+    is.  Clear dense denominators first, as ``identities``' generating
+    functions do.  At order 120 and s = 4 these expansions are now about half
+    of the closed form's time; the products and powers that build its short
+    numerator and denominator as full order-120 series take the other half.
     """
-    return numerator * denominator.inverse()
+    return denominator.inverse(numerator)

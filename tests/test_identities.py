@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from tribpoly import (
     GridConfig,
     Polynomial,
+    TruncatedSeries,
+    X,
     all_passed,
     closed_form_generating_series,
     direct_generating_series,
@@ -302,6 +304,21 @@ def test_overshoot_series_from_order_zero():
 def test_generating_functions_hold_at_order_120(s):
     assert verify_thm2(s, 120).passed
     assert verify_cor2(s, 120).passed
+
+
+@pytest.mark.parametrize("x1", [False, True])
+@pytest.mark.parametrize("s", range(7))
+def test_closed_form_is_a_short_fraction_at_depth(s, x1):
+    # the tribonacci denominator cancels: times (1 - x^2 z)^(s+1), the level-s
+    # generating function is a z-polynomial of degree 3s + 1, so every
+    # coefficient the expansion computes past it, up to order 60, is zero
+    x = 1 if x1 else X
+    cleared = TruncatedSeries([1, -(x * x)], 60) ** (s + 1)
+    product = closed_form_generating_series(s, 60, x1=x1) * cleared
+    top = max(k for k, c in enumerate(product.coeffs) if c)
+    assert top <= 3 * s + 1
+    if not x1:
+        assert top == 3 * s + 1
 
 
 @pytest.mark.parametrize("s", range(5))

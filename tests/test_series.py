@@ -268,3 +268,30 @@ def test_series_arithmetic_matches_an_exact_int_list_reference(data, order):
     assert [p.coeffs for p in (a * b).coeffs] == expected
     u = data.draw(st.one_of(sparse_series(order, unit=True), cancelling_unit(order)))
     assert [p.coeffs for p in u.inverse().coeffs] == _plain_inverse(_ints(u))
+
+
+@given(st.data(), st.integers(0, 8))
+def test_rational_expand_matches_numerator_times_the_reference_inverse(data, order):
+    # the recurrence seeds each z^k with N[k]; the reference multiplies N by
+    # the reference inverse, so a seed dropped past z^0, a seed of the wrong
+    # sign or a denominator term cut early shows as a different tuple
+    d = data.draw(st.one_of(sparse_series(order, unit=True), cancelling_unit(order)))
+    n = data.draw(st.one_of(sparse_series(order), st.just(d), st.just(d * d)))
+    before = _ints(n)
+    expected = _plain_series_mul(before, _plain_inverse(_ints(d)), order)
+    assert [p.coeffs for p in rational_expand(n, d).coeffs] == expected
+    assert [p.coeffs for p in d.inverse(n).coeffs] == expected
+    assert _ints(n) == before
+
+
+def test_rational_expand_checks_its_operands():
+    d = TruncatedSeries([1, X], 3)
+    for expand in (rational_expand, lambda n, d: d.inverse(n)):
+        with pytest.raises(ValueError, match="order mismatch"):
+            expand(TruncatedSeries([X], 4), d)
+        for not_a_series in (ONE, 1, [ONE]):
+            with pytest.raises(TypeError):
+                expand(not_a_series, d)
+        for non_unit in (TruncatedSeries([2, 1], 3), TruncatedSeries([X, 1], 3)):
+            with pytest.raises(ValueError, match="constant coefficient 1"):
+                expand(TruncatedSeries([X], 3), non_unit)
