@@ -142,12 +142,11 @@ def _series(terms: Sequence, order: int) -> TruncatedSeries:
 
 @_identity("EQ4", lambda n, s: s >= 0 and n >= 2 * s + 1, n=(1, 18), s=(0, 4))
 def verify_eq4(n: int, s: int):
-    """Three-term recurrence of the incomplete polynomials with end-piece corrections."""
+    """Three-term recurrence of the incomplete polynomials, corrected by the
+    overshoot weight: the tilings that first go over a budget of s longer pieces."""
     inc = trib.incomplete_tribonacci_poly
     lhs = inc(n + 3, s)
-    correction = trib.triangle_poly(n - s, s).times_monomial(1, 1) + trib.triangle_poly(
-        n - 1 - s, s
-    )
+    correction = trib.overshoot_poly(n - 2 * s + 2, s)
     rhs = (
         inc(n + 2, s).times_monomial(1, 2)
         + inc(n + 1, s).times_monomial(1, 1)

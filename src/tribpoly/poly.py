@@ -72,11 +72,6 @@ class Polynomial:
     # constructors
 
     @classmethod
-    def monomial(cls, coefficient: int, exponent: int) -> "Polynomial":
-        """``coefficient * x**exponent``."""
-        return cls((1,)).times_monomial(coefficient, exponent)
-
-    @classmethod
     def from_terms(cls, terms: Mapping[int, int]) -> "Polynomial":
         """Build from an exponent -> coefficient mapping (zeros allowed)."""
         live = {e: c for e, c in terms.items() if c != 0}
@@ -104,11 +99,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self._coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)

@@ -71,19 +71,10 @@ class TruncatedSeries:
     def coeffs(self) -> tuple[Polynomial, ...]:
         return self._coeffs
 
-    def coeff(self, k: int) -> Polynomial:
-        """Coefficient of z**k."""
-        if not 0 <= k <= self._order:
-            raise ValueError(f"coefficient index {k} outside order {self._order}")
-        return self._coeffs[k]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self._order == other._order and self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash((self._order, self._coeffs))
 
     def _require_same_order(self, other: "TruncatedSeries") -> None:
         if self._order != other._order:
@@ -178,14 +169,6 @@ class TruncatedSeries:
             raise ValueError(f"shift must be >= 0, got {k}")
         kept = self._coeffs[: max(0, self._order + 1 - k)]
         return TruncatedSeries._trusted((ZERO,) * min(k, self._order + 1) + kept, self._order)
-
-    def truncated(self, order: int) -> "TruncatedSeries":
-        """The same series at a lower (or equal) order."""
-        if order > self._order:
-            raise ValueError(f"cannot extend order {self._order} to {order}")
-        if order < 0:
-            raise ValueError(f"series order must be >= 0, got {order}")
-        return TruncatedSeries._trusted(self._coeffs[: order + 1], order)
 
     # ------------------------------------------------------------------
     # rendering / serialization

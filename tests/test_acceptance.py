@@ -176,7 +176,7 @@ def test_overshoot_three_ways(criterion):
         for s in range(5):
             series = overshoot_generating_series(s, 25)
             for n in range(26):
-                assert series.coeff(n) == trib.overshoot_poly(n, s), (n, s)
+                assert series.coeffs[n] == trib.overshoot_poly(n, s), (n, s)
         for s in range(5):
             for n in range(15 - 2 * s):
                 assert overshoot_distribution(n, s) == trib.overshoot_poly(n, s), (n, s)
@@ -253,9 +253,12 @@ def test_cli_detects_seeded_fault(criterion, capfd, monkeypatch):
         payload = json.loads(out)
         assert payload["ok"] is False
         failed = [r for r in payload["reports"] if r["status"] == "failed"]
-        assert failed
-        assert all(r["identity_id"] == "EQ12" for r in failed)
+        assert {r["identity_id"] for r in failed} == {"EQ4", "EQ12"}
         for report in failed:
-            assert report["params"]["s"] == 0
-            assert report["params"]["n"] >= 6
+            # EQ4's correction reads overshoot_poly(n - 2s + 2, s)
+            if report["identity_id"] == "EQ4":
+                assert (report["params"]["n"], report["params"]["s"]) == (3, 0)
+            else:
+                assert report["params"]["s"] == 0
+                assert report["params"]["n"] >= 6
             assert report["lhs"] != report["rhs"]

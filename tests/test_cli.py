@@ -301,15 +301,15 @@ def test_verify_failure_exits_one_with_payload(capsys, monkeypatch):
 
 
 def test_verify_text_failure_block(capsys, monkeypatch):
-    real = trib.triangle_poly
+    real = trib.overshoot_poly
 
-    def corrupted(n, i):
-        value = real(n, i)
-        if (n, i) == (6, 1):
+    def corrupted(n, s):
+        value = real(n, s)
+        if (n, s) == (7, 1):  # EQ4's correction at n = 7, s = 1
             return value + Polynomial((0, 1))
         return value
 
-    monkeypatch.setattr(trib, "triangle_poly", corrupted)
+    monkeypatch.setattr(trib, "overshoot_poly", corrupted)
     code, out, _ = run_cli(capsys, "verify", "eq4", "--n", "1..9", "--s", "0..2")
     assert code == 1
     assert "overall: FAIL" in out

@@ -216,6 +216,20 @@ def test_far_points_pass(identity_id, data):
         assert report.status in ("passed", "filtered"), (report.lhs, report.rhs)
 
 
+def test_eq4_holds_over_the_whole_far_grid():
+    # every point, not a sample: EQ4's correction is the overshoot weight at
+    # index n - 2s + 2, and an off-by-one there fails most of these points
+    config = GridConfig(n_range=(1, FAR["n"]), s_range=(0, FAR["s"]))
+    reports = run_grid(config, ["EQ4"])
+    assert not [(r.params, r.lhs, r.rhs) for r in reports if r.status == "failed"]
+    assert summarize(reports) == {
+        "passed": 550,
+        "failed": 0,
+        "filtered": 110,
+        "resource_limited": 0,
+    }
+
+
 def test_cor2_passes_below_the_control_order():
     # the lowest orders, where each side has only its first one to three terms
     for s in range(4):
@@ -226,13 +240,13 @@ def test_cor2_passes_below_the_control_order():
 def test_direct_series_starts_at_the_offset():
     series = direct_generating_series(1, 10)
     for k in range(3):
-        assert series.coeff(k).is_zero
-    assert series.coeff(3) == trib.incomplete_tribonacci_poly(3, 1)
+        assert series.coeffs[k].is_zero
+    assert series.coeffs[3] == trib.incomplete_tribonacci_poly(3, 1)
 
 
 def test_closed_form_head():
     series = closed_form_generating_series(1, 3)
-    assert series.coeff(3) == trib.incomplete_tribonacci_poly(3, 1)
+    assert series.coeffs[3] == trib.incomplete_tribonacci_poly(3, 1)
     at_one = closed_form_generating_series(0, 5, x1=True)
     assert [c.evaluate(1) for c in at_one.coeffs] == [0, 1, 1, 1, 1, 1]
 

@@ -72,15 +72,6 @@ def test_order_mismatch_is_an_error():
             op()
 
 
-def test_coeff_bounds():
-    s = TruncatedSeries([1, 2, 3], 2)
-    assert s.coeff(2) == Polynomial((3,))
-    with pytest.raises(ValueError):
-        s.coeff(3)
-    with pytest.raises(ValueError):
-        s.coeff(-1)
-
-
 def test_pow():
     s = TruncatedSeries([1, 1], 4)
     assert s**0 == TruncatedSeries.one(4)
@@ -98,19 +89,12 @@ def test_shifted():
         s.shifted(-1)
 
 
-def test_truncated():
-    s = TruncatedSeries([1, 2, 3, 4], 3)
-    assert s.truncated(1) == TruncatedSeries([1, 2], 1)
-    with pytest.raises(ValueError):
-        s.truncated(7)
-
-
 def test_overshoot_series_head():
     # z^2 (x + z) / (1 - x^2 z) starts x z^2 + (x^3 + 1) z^3 + ...
     frac = rational_expand(TruncatedSeries([X, 1], 3), TruncatedSeries([ONE, -(X * X)], 3))
     shifted = frac.shifted(2)
-    assert shifted.coeff(2) == X
-    assert shifted.coeff(3) == Polynomial((1, 0, 0, 1))
+    assert shifted.coeffs[2] == X
+    assert shifted.coeffs[3] == Polynomial((1, 0, 0, 1))
 
 
 def test_json_dict():
@@ -133,16 +117,20 @@ def test_series_ring_laws(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+def _cut(s, k):
+    return TruncatedSeries(s.coeffs[: k + 1], k)
+
+
 @given(series5, series5)
 def test_truncation_coherence(a, b):
     # computing at higher order then truncating equals computing at lower order
-    assert (a * b).truncated(3) == a.truncated(3) * b.truncated(3)
-    assert (a + b).truncated(3) == a.truncated(3) + b.truncated(3)
+    assert _cut(a * b, 3) == _cut(a, 3) * _cut(b, 3)
+    assert _cut(a + b, 3) == _cut(a, 3) + _cut(b, 3)
 
 
 @given(units5)
 def test_inverse_truncation_coherence(u):
-    assert u.inverse().truncated(3) == u.truncated(3).inverse()
+    assert _cut(u.inverse(), 3) == _cut(u, 3).inverse()
 
 
 @given(short5, short_units5, short_units5)
