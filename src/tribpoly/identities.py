@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 from . import tilings
 from . import tribonacci as trib
-from .poly import ONE, Polynomial, X, ZERO
+from .poly import Polynomial, X, ZERO
 from .series import TruncatedSeries, rational_expand
 
 PASSED = "passed"
@@ -305,18 +305,19 @@ def verify_thm1(n: int, s: int, *, cap: int = tilings.DEFAULT_CAP):
 # generating functions
 
 
+def _overshoot_series(x, s: int, order: int) -> TruncatedSeries:
+    """z^2 * ((x + z) / (1 - x^2 z))^(s+1), for x the symbol X or the number 1.
+    The powers come first, so the one expansion is by a z-polynomial of degree s + 1."""
+    numerator = _series([x, 1], order) ** (s + 1)
+    return rational_expand(numerator, _series([1, -(x * x)], order) ** (s + 1)).shifted(2)
+
+
 def overshoot_generating_series(s: int, order: int) -> TruncatedSeries:
     """z^2 * ((x + z) / (1 - x^2 z))^(s+1); its z^n coefficient is
-    ``overshoot_poly(n, s)``.
-
-    The powers are taken before the division, as (x + z)^(s+1) over
-    (1 - x^2 z)^(s+1): both are z-polynomials of degree s + 1, so the one
-    expansion multiplies only short series by dense ones.
-    """
+    ``overshoot_poly(n, s)``."""
     if s < 0:
         raise ValueError(f"overshoot level must be >= 0, got {s}")
-    numerator = _series([X, ONE], order) ** (s + 1)
-    return rational_expand(numerator, _series([ONE, -(X * X)], order) ** (s + 1)).shifted(2)
+    return _overshoot_series(X, s, order)
 
 
 def direct_generating_series(s: int, order: int, *, x1: bool = False) -> TruncatedSeries:
@@ -332,28 +333,25 @@ def direct_generating_series(s: int, order: int, *, x1: bool = False) -> Truncat
 def closed_form_generating_series(s: int, order: int, *, x1: bool = False) -> TruncatedSeries:
     """Rational closed form of the level-s generating function, expanded.
 
-    The paper's form is head(z) minus the overshoot series, over
-    1 - x^2 z - x z^2 - z^3.  Its overshoot denominator (1 - x^2 z)^(s+1) is
-    cleared before the one expansion: (head - overshoot) * (1 - x^2 z)^(s+1)
-    is head * (1 - x^2 z)^(s+1) - z^2 (x + z)^(s+1), a z-polynomial of degree
-    s + 3.  The truncated product equals the true one up to the order, so
-    the cancellation is exact, and numerator and denominator are both short.
+    The paper's form is z^(2s+1) (head(z) - overshoot(z)) / D(z): head is the
+    z-quadratic of the tribonacci members 2s - 1 .. 2s + 1, overshoot is
+    ``_overshoot_series`` and D = 1 - x^2 z - x z^2 - z^3.  An expansion costs
+    the denominator's nonzero z-terms, so the one by D stays cheap however
+    dense the numerator is.
     """
     if s < 0:
         raise ValueError(f"restriction level must be >= 0, got {s}")
     x = 1 if x1 else X
-    cleared = _series([1, -(x * x)], order) ** (s + 1)
     denominator = _series([1, -(x * x), -x, -1], order)
     if x1:
         tn = trib.tribonacci_number
         head = [tn(2 * s + 1), tn(2 * s - 1) + tn(2 * s), tn(2 * s)]
-        overshoot = (_series([1, 1], order) ** (s + 1)).shifted(2)
+        overshoot = _overshoot_series(1, s, order)
     else:
         tp = trib.tribonacci_poly
         head = [tp(2 * s + 1), tp(2 * s - 1) + tp(2 * s).times_monomial(1, 1), tp(2 * s)]
-        overshoot = cleared * overshoot_generating_series(s, order)
-    numerator = cleared * _series(head, order) - overshoot
-    return rational_expand(numerator, cleared * denominator).shifted(2 * s + 1)
+        overshoot = overshoot_generating_series(s, order)
+    return rational_expand(_series(head, order) - overshoot, denominator).shifted(2 * s + 1)
 
 
 @_identity("THM2", lambda s, order: s >= 0 and order >= 2 * s + 1, s=(0, 4), order=25)

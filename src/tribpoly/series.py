@@ -204,9 +204,6 @@ def rational_expand(numerator: TruncatedSeries, denominator: TruncatedSeries) ->
     ``denominator.inverse(numerator)``: each out[k] costs the term products
     of the denominator's nonzero z-coefficients with the earlier outputs, so
     a short denominator makes the expansion cheap however long the numerator
-    is.  Clear dense denominators first, as ``identities``' generating
-    functions do.  At order 120 and s = 4 these expansions are now about half
-    of the closed form's time; the products and powers that build its short
-    numerator and denominator as full order-120 series take the other half.
+    is.
     """
     return denominator.inverse(numerator)

@@ -339,3 +339,27 @@ def test_closed_form_is_a_short_fraction_at_depth(s, x1):
 def test_overshoot_series_at_order_120(s):
     series = ident.overshoot_generating_series(s, 120)
     assert list(series.coeffs) == [trib.overshoot_poly(k, s) for k in range(121)]
+    at_one = ident._overshoot_series(1, s, 120)
+    assert list(at_one.coeffs) == [trib.overshoot_poly(k, s).evaluate(1) for k in range(121)]
+
+
+def test_a_fault_on_the_closed_form_side_fails(monkeypatch):
+    # the direct side reads neither tribonacci family nor the overshoot series,
+    # so each fault below reaches only the closed form's head or overshoot
+    def off_by_one(real, k):
+        return lambda n: real(n) + 1 if n == k else real(n)
+
+    for s in range(5):
+        for k in (2 * s - 1, 2 * s, 2 * s + 1):
+            if k < 0:
+                continue
+            with monkeypatch.context() as m:
+                m.setattr(trib, "tribonacci_poly", off_by_one(trib.tribonacci_poly, k))
+                assert verify_thm2(s, 25).status == "failed", (s, k)
+            with monkeypatch.context() as m:
+                m.setattr(trib, "tribonacci_number", off_by_one(trib.tribonacci_number, k))
+                assert verify_cor2(s, 25).status == "failed", (s, k)
+    real = ident.overshoot_generating_series
+    monkeypatch.setattr(ident, "overshoot_generating_series", lambda s, order: real(s + 1, order))
+    for s in range(5):
+        assert verify_thm2(s, 25).status == "failed", s
