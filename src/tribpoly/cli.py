@@ -204,7 +204,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         args.format,
         _verify_lines(reports, ok),
         lambda: {
-            "reports": [r.to_json_dict() for r in reports],
+            "reports": [_report_doc(r) for r in reports],
             "summary": identities.summarize(reports),
             "ok": ok,
         },
@@ -217,6 +217,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ),
     )
     return 0 if ok else 1
+
+
+def _report_doc(r: identities.IdentityReport) -> dict:
+    """The JSON view of one report; a failed point adds its two sides as text."""
+    sides = {"lhs": str(r.lhs), "rhs": str(r.rhs)} if r.status == identities.FAILED else {}
+    return {
+        "identity_id": r.identity_id,
+        "params": dict(r.params),
+        "status": r.status,
+        "passed": r.passed,
+        "elapsed_ms": round(r.elapsed_ms, 3),
+        **sides,
+    }
 
 
 def _verify_lines(reports: Sequence[identities.IdentityReport], ok: bool) -> Iterator[str]:
@@ -239,9 +252,15 @@ def _cmd_gf(args: argparse.Namespace) -> int:
         raise ValueError(
             f"order {args.order} is below the series offset {2 * args.s + 1}; nothing to show"
         )
-    series = identities.closed_form_generating_series(args.s, args.order, x1=args.x1)
-    coeffs = series.coeffs
-    _write(args.format, coeffs, series.to_json_dict, ("z_power", "coefficient"), enumerate(coeffs))
+    coeffs = identities.closed_form_generating_series(args.s, args.order, x1=args.x1).coeffs
+    z_coeffs = ({"coeffs": c.to_coeff_strings()} for c in coeffs)
+    _write(
+        args.format,
+        coeffs,
+        lambda: {"order": args.order, "z_coeffs": list(z_coeffs)},
+        ("z_power", "coefficient"),
+        enumerate(coeffs),
+    )
     return 0
 
 

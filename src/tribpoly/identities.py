@@ -36,32 +36,18 @@ RESOURCE_LIMITED = "resource_limited"
 
 @dataclass
 class IdentityReport:
-    """Outcome of one identity at one parameter point."""
+    """Outcome of one identity at one parameter point; only a failed one keeps its two sides."""
 
     identity_id: str
     params: dict[str, int]
     status: str
     elapsed_ms: float
-    lhs: str | None = None
-    rhs: str | None = None
+    lhs: Polynomial | TruncatedSeries | None = None
+    rhs: Polynomial | TruncatedSeries | None = None
 
     @property
     def passed(self) -> bool:
         return self.status == PASSED
-
-    def to_json_dict(self) -> dict:
-        out: dict = {
-            "identity_id": self.identity_id,
-            "params": dict(self.params),
-            "status": self.status,
-            "passed": self.passed,
-            "elapsed_ms": round(self.elapsed_ms, 3),
-        }
-        if self.lhs is not None:
-            out["lhs"] = self.lhs
-        if self.rhs is not None:
-            out["rhs"] = self.rhs
-        return out
 
 
 @dataclass(frozen=True)
@@ -88,7 +74,6 @@ class Identity:
     not take only gates the sweep: an empty range yields no points.
     """
 
-    id: str
     check: Callable[..., IdentityReport]
     params: tuple[str, ...]
     axes: dict[str, object]
@@ -122,10 +107,10 @@ def _identity(identity_id: str, precondition: Callable[..., bool], **axes: objec
             except tilings.EnumerationCapError:
                 status = RESOURCE_LIMITED
             elapsed = (time.perf_counter() - started) * 1000.0
-            shown = (str(lhs), str(rhs)) if status == FAILED else ()
-            return IdentityReport(identity_id, params, status, elapsed, *shown)
+            compared = (lhs, rhs) if status == FAILED else ()
+            return IdentityReport(identity_id, params, status, elapsed, *compared)
 
-        CATALOG[identity_id] = Identity(identity_id, check, names, axes)
+        CATALOG[identity_id] = Identity(check, names, axes)
         return check
 
     return declare

@@ -171,7 +171,7 @@ class TruncatedSeries:
         return TruncatedSeries._trusted((ZERO,) * min(k, self._order + 1) + kept, self._order)
 
     # ------------------------------------------------------------------
-    # rendering / serialization
+    # rendering
 
     def __str__(self) -> str:
         parts = []
@@ -189,12 +189,6 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries(order={self._order}, {str(self)!r})"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "order": self._order,
-            "z_coeffs": [{"coeffs": c.to_coeff_strings()} for c in self._coeffs],
-        }
 
 
 def rational_expand(numerator: TruncatedSeries, denominator: TruncatedSeries) -> TruncatedSeries:

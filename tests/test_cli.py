@@ -255,9 +255,16 @@ def test_verify_json_shape(capsys):
     assert payload["ok"] is True
     assert payload["summary"]["failed"] == 0
     assert payload["reports"]
+    # passed and filtered points carry no sides
+    keys = {"identity_id", "params", "status", "passed", "elapsed_ms"}
     for report in payload["reports"]:
         assert report["identity_id"] == "EQ12"
-        assert set(report) >= {"identity_id", "params", "status", "passed", "elapsed_ms"}
+        assert set(report) == keys
+    code, out, _ = run_cli(capsys, "verify", "eq4", "--n", "4", "--s", "2", "--format", "json")
+    assert code == 0
+    [filtered] = json.loads(out)["reports"]
+    assert filtered["status"] == "filtered"
+    assert set(filtered) == keys
 
 
 def test_verify_csv_rows_are_judged_points_only(capsys):

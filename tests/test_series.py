@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from tribpoly import (
     TruncatedSeries,
     X,
     ZERO,
+    cli,
     rational_expand,
     tribonacci_poly,
 )
@@ -97,11 +100,13 @@ def test_overshoot_series_head():
     assert shifted.coeffs[3] == Polynomial((1, 0, 0, 1))
 
 
-def test_json_dict():
-    s = TruncatedSeries([ZERO, X], 2)
-    assert s.to_json_dict() == {
+def test_json_dict(capsys):
+    # the series document of the CLI: one coeffs list per z power, the zero
+    # coefficient an empty list
+    assert cli.main(["gf", "--s", "0", "--order", "2", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
         "order": 2,
-        "z_coeffs": [{"coeffs": []}, {"coeffs": ["0", "1"]}, {"coeffs": []}],
+        "z_coeffs": [{"coeffs": []}, {"coeffs": ["1"]}, {"coeffs": ["0", "0", "1"]}],
     }
 
 
