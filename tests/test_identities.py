@@ -26,6 +26,7 @@ from tribpoly import (
     verify_thm1,
     verify_thm2,
 )
+from tribpoly import cli
 from tribpoly import identities as ident
 from tribpoly import tribonacci as trib
 
@@ -309,6 +310,13 @@ def test_run_grid_cap_marks_resource_limits():
     reports = run_grid(config, ["THM1"])
     assert [r.status for r in reports] == ["resource_limited", "resource_limited"]
     assert all_passed(reports)  # resource-limited is not failure
+
+
+def test_report_json_shape():
+    passing = cli._report_doc(verify_eq4(1, 0))
+    assert set(passing) == {"identity_id", "params", "status", "passed", "elapsed_ms"}
+    filtered = cli._report_doc(verify_eq4(4, 2))
+    assert filtered["status"] == "filtered"
 
 
 @pytest.mark.parametrize("x1", [False, True])
