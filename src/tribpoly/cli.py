@@ -28,6 +28,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from . import identities, tilings
 from . import tribonacci as trib
 from .poly import Polynomial
+from .series import TruncatedSeries
 
 FAMILIES = {
     "trib-number": trib.tribonacci_number,
@@ -178,7 +179,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             "max_longer": args.max_longer,
             "count": len(words),
             "tilings": words,
-            "weight": {"coeffs": tilings.weight_distribution(members).to_coeff_strings()},
+            "weight": _value_doc(tilings.weight_distribution(members)),
         },
         ("tiling", "squares", "dominos", "trominos", "weight_exponent"),
         ((w, m.squares, m.dominos, m.trominos, m.weight_exponent) for w, m in zip(words, members)),
@@ -219,9 +220,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+def _value_doc(value: Polynomial | TruncatedSeries) -> dict:
+    """The JSON view of a polynomial, its ``coeffs`` strings, or of a series,
+    its ``order`` and the view of each z-coefficient in ``z_coeffs``."""
+    if isinstance(value, Polynomial):
+        return {"coeffs": value.to_coeff_strings()}
+    return {"order": value.order, "z_coeffs": [_value_doc(c) for c in value.coeffs]}
+
+
 def _report_doc(r: identities.IdentityReport) -> dict:
-    """The JSON view of one report; a failed point adds its two sides as text."""
-    sides = {"lhs": str(r.lhs), "rhs": str(r.rhs)} if r.status == identities.FAILED else {}
+    """The JSON view of one report; a failed point adds its two sides as data."""
+    failed = r.status == identities.FAILED
+    sides = {"lhs": _value_doc(r.lhs), "rhs": _value_doc(r.rhs)} if failed else {}
     return {
         "identity_id": r.identity_id,
         "params": dict(r.params),
@@ -252,14 +262,13 @@ def _cmd_gf(args: argparse.Namespace) -> int:
         raise ValueError(
             f"order {args.order} is below the series offset {2 * args.s + 1}; nothing to show"
         )
-    coeffs = identities.closed_form_generating_series(args.s, args.order, x1=args.x1).coeffs
-    z_coeffs = ({"coeffs": c.to_coeff_strings()} for c in coeffs)
+    series = identities.closed_form_generating_series(args.s, args.order, x1=args.x1)
     _write(
         args.format,
-        coeffs,
-        lambda: {"order": args.order, "z_coeffs": list(z_coeffs)},
+        series.coeffs,
+        lambda: _value_doc(series),
         ("z_power", "coefficient"),
-        enumerate(coeffs),
+        enumerate(series.coeffs),
     )
     return 0
 

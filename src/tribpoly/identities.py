@@ -52,7 +52,9 @@ class IdentityReport:
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Per-axis overrides for :func:`run_grid`; None keeps an identity's default."""
+    """Overrides for :func:`run_grid`.  A range or order replaces the default
+    of that grid axis in every identity that takes the parameter; ``cap`` is
+    passed to every check that takes it as an option.  None keeps the default."""
 
     n_range: tuple[int, int] | None = None
     s_range: tuple[int, int] | None = None
@@ -65,18 +67,19 @@ class GridConfig:
 class Identity:
     """One catalog entry.
 
-    ``check`` is the module's ``verify_*`` function; ``params`` are the names
-    of its positional parameters, which every report carries.  ``axes`` maps
-    each grid axis, in sweep order, to its default: an ``(lo, hi)`` range, a
-    single int ``v`` (the one-value span ``(v, v)``), or a callable of the
-    parameters before it that returns either.  A single-int axis the check
-    does not take positionally is passed as a keyword; a range axis it does
-    not take only gates the sweep: an empty range yields no points.
+    ``check`` is the module's ``verify_*`` function.  ``params`` are the
+    names of its positional parameters, which every report carries, and they
+    are exactly the grid axes: ``axes`` maps each, in sweep order, to its
+    default, an ``(lo, hi)`` range, a single int ``v`` (the one-value span
+    ``(v, v)``), or a callable of the parameters before it that returns
+    either.  ``options`` are the names of its keyword-only parameters, whose
+    defaults live on the check alone.
     """
 
     check: Callable[..., IdentityReport]
     params: tuple[str, ...]
     axes: dict[str, object]
+    options: tuple[str, ...]
 
 
 CATALOG: dict[str, Identity] = {}
@@ -88,9 +91,9 @@ def _identity(identity_id: str, precondition: Callable[..., bool], **axes: objec
 
     def declare(sides: Callable[..., tuple]) -> Callable[..., IdentityReport]:
         signature = inspect.signature(sides)
-        names = tuple(
-            p.name for p in signature.parameters.values() if p.kind is p.POSITIONAL_OR_KEYWORD
-        )
+        parameters = signature.parameters.values()
+        names = tuple(p.name for p in parameters if p.kind is p.POSITIONAL_OR_KEYWORD)
+        keywords = tuple(p.name for p in parameters if p.kind is p.KEYWORD_ONLY)
 
         @functools.wraps(sides)
         def check(*args: int, **options: int) -> IdentityReport:
@@ -110,7 +113,7 @@ def _identity(identity_id: str, precondition: Callable[..., bool], **axes: objec
             compared = (lhs, rhs) if status == FAILED else ()
             return IdentityReport(identity_id, params, status, elapsed, *compared)
 
-        CATALOG[identity_id] = Identity(check, names, axes)
+        CATALOG[identity_id] = Identity(check, names, axes, keywords)
         return check
 
     return declare
@@ -199,8 +202,7 @@ def verify_id3(n: int):
     return _all_levels(n), tp(n + 1) * (n // 2 + 1) - conv
 
 
-# quantified over n up to the order, so n only gates the sweep
-@_identity("REMARK_A", lambda order: order >= 0, n=(1, 20), order=20)
+@_identity("REMARK_A", lambda order: order >= 0, order=20)
 def verify_remark_a(order: int):
     """Closed rational generating function for the correction totals at x = 1."""
     lhs = TruncatedSeries([_id2_correction(k).evaluate(1) for k in range(order + 1)], order)
@@ -272,13 +274,7 @@ def verify_eq13(n: int, s: int):
     return tp(n), rhs
 
 
-@_identity(
-    "THM1",
-    lambda n, s: n >= 0 and s >= 0,
-    n=(0, 14),
-    s=lambda n: (0, n // 2),
-    cap=tilings.DEFAULT_CAP,
-)
+@_identity("THM1", lambda n, s: n >= 0 and s >= 0, n=(0, 14), s=lambda n: (0, n // 2))
 def verify_thm1(n: int, s: int, *, cap: int = tilings.DEFAULT_CAP):
     """Enumerated weight distribution of budget-restricted tilings equals the
     incomplete polynomial formula."""
@@ -359,7 +355,7 @@ ALL_IDENTITY_IDS = tuple(CATALOG)
 # grid sweep
 
 
-# grid axis -> the GridConfig field that overrides its default
+# grid axis or option -> the GridConfig field that sets it
 _CONFIG_FIELDS = {
     "n": "n_range",
     "s": "s_range",
@@ -370,20 +366,14 @@ _CONFIG_FIELDS = {
 
 
 def _points(entry: Identity, cfg: GridConfig) -> tuple[list[tuple[int, ...]], dict[str, int]]:
-    """The positional arguments of every check of one identity, in sweep
-    order, and the keyword options they all share."""
+    """The positional arguments of every check of one identity, one grid
+    axis per parameter in sweep order, and the keyword options they all
+    share: those the config sets, so an unset one keeps the check's default."""
     points: list[tuple[int, ...]] = [()]
-    options: dict[str, int] = {}
-    for axis, default in entry.axes.items():
+    for axis in entry.params:
         bounds = getattr(cfg, _CONFIG_FIELDS[axis])
         if bounds is None:
-            bounds = default
-        if axis not in entry.params:
-            if isinstance(bounds, int):
-                options[axis] = bounds
-            elif bounds[0] > bounds[1]:
-                return [], options
-            continue
+            bounds = entry.axes[axis]
         grown = []
         for point in points:
             span = bounds(*point) if callable(bounds) else bounds
@@ -391,7 +381,8 @@ def _points(entry: Identity, cfg: GridConfig) -> tuple[list[tuple[int, ...]], di
             for value in range(lo, hi + 1):
                 grown.append((*point, value))
         points = grown
-    return points, options
+    options = {k: getattr(cfg, _CONFIG_FIELDS[k]) for k in entry.options}
+    return points, {k: v for k, v in options.items() if v is not None}
 
 
 def run_grid(

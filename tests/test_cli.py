@@ -307,6 +307,34 @@ def test_verify_failure_exits_one_with_payload(capsys, monkeypatch):
         assert report["lhs"] != report["rhs"]
 
 
+def test_a_failed_side_reads_back_from_its_json(capsys, monkeypatch):
+    # the sides are coeffs data, as compute and gf write them, not text
+    def off_by_one(real, at):
+        return lambda *args: real(*args) + 1 if args == at else real(*args)
+
+    def failed_sides(*argv):
+        code, out, _ = run_cli(capsys, "verify", *argv, "--format", "json")
+        assert code == 1
+        [report] = json.loads(out)["reports"]
+        assert report["status"] == "failed"
+        return report["lhs"], report["rhs"]
+
+    def z_coeffs(doc):
+        return [Polynomial.from_coeff_strings(c["coeffs"]) for c in doc["z_coeffs"]]
+
+    with monkeypatch.context() as m:
+        m.setattr(trib, "overshoot_poly", off_by_one(trib.overshoot_poly, (5, 0)))
+        lhs, rhs = failed_sides("eq12", "--n", "6", "--s", "0")
+    assert Polynomial.from_coeff_strings(lhs["coeffs"]) == trib.incomplete_tribonacci_poly(6, 0)
+    assert rhs["coeffs"] != lhs["coeffs"]
+    with monkeypatch.context() as m:
+        m.setattr(trib, "tribonacci_poly", off_by_one(trib.tribonacci_poly, (1,)))
+        lhs, rhs = failed_sides("thm2", "--s", "0", "--order", "25")
+    assert lhs["order"] == rhs["order"] == 25
+    assert z_coeffs(lhs) == list(identities.direct_generating_series(0, 25).coeffs)
+    assert z_coeffs(rhs) != z_coeffs(lhs)
+
+
 def test_verify_text_failure_block(capsys, monkeypatch):
     real = trib.overshoot_poly
 

@@ -46,7 +46,7 @@ GOLDEN = {
 FAILING_COMMAND = "verify eq12 --n 1..8 --s 0..1 --format"
 FAILING_VERIFY = {
     "text": "9bba4bc9c8e2853a",
-    "json": "22404aeb7d11b6f3",
+    "json": "e73f3a9b7f714fc6",
     "csv": "eb38429cb20182da",
 }
 

@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -283,10 +285,37 @@ def test_run_grid_small_config_all_pass():
 
 
 def test_run_grid_empty_ranges():
+    # REMARK_A takes none of n, s and h, so only its one point is left
     config = GridConfig(n_range=(1, 0), s_range=(1, 0), h_range=(1, 0))
     reports = run_grid(config)
-    assert reports == []
+    assert [(r.identity_id, r.status) for r in reports] == [("REMARK_A", "passed")]
     assert all_passed(reports)
+
+
+# a range applies exactly to the identities that take its parameter
+@pytest.mark.parametrize("identity_id", list(ident.CATALOG))
+def test_an_empty_range_empties_exactly_the_identities_that_take_it(identity_id):
+    params = ident.CATALOG[identity_id].params
+    for axis in ("n", "s", "h"):
+        reports = run_grid(GridConfig(**{f"{axis}_range": (1, 0)}), [identity_id])
+        assert (reports == []) == (axis in params), axis
+
+
+def test_grid_axes_are_the_positional_parameters():
+    for identity_id, entry in ident.CATALOG.items():
+        assert tuple(entry.axes) == entry.params, identity_id
+        parameters = inspect.signature(entry.check).parameters.values()
+        keyword_only = tuple(p.name for p in parameters if p.kind is p.KEYWORD_ONLY)
+        assert entry.options == keyword_only, identity_id
+    assert {i for i, entry in ident.CATALOG.items() if entry.options} == {"THM1"}
+
+
+def test_thm1_cap_defaults_on_the_check():
+    # no cap set: verify_thm1's own default of 18 holds at n = 19
+    [report] = run_grid(GridConfig(n_range=(19, 19), s_range=(0, 0)), ["THM1"])
+    assert report.status == "resource_limited"
+    [report] = run_grid(GridConfig(n_range=(19, 19), s_range=(0, 0), cap=19), ["THM1"])
+    assert report.passed
 
 
 def test_run_grid_is_deterministic():
