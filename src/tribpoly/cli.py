@@ -78,8 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     capped.add_argument(
         "--cap",
         type=int,
-        default=tilings.DEFAULT_CAP,
-        help=f"enumeration length cap (default: {tilings.DEFAULT_CAP})",
+        help=f"enumeration cap; unset, the library's own applies (default: {tilings.DEFAULT_CAP})",
     )
 
     parser = argparse.ArgumentParser(
@@ -156,11 +155,10 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         )
     value = function(*args.indices)
     poly = isinstance(value, Polynomial)
-    key, shown = ("coeffs", value.to_coeff_strings) if poly else ("value", value.__str__)
     _write(
         args.format,
         [value],
-        lambda: {"family": args.family, "indices": list(args.indices), key: shown()},
+        lambda: {"family": args.family, "indices": list(args.indices), **_value_doc(value)},
         ("exponent", "coefficient") if poly else ("value",),
         enumerate(value.coeffs) if poly else [(value,)],
     )
@@ -169,7 +167,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     max_longer = args.n if args.max_longer is None else args.max_longer
-    members = tilings.enumerate_restricted(args.n, max_longer, cap=args.cap)
+    options = {} if args.cap is None else {"cap": args.cap}
+    members = tilings.enumerate_restricted(args.n, max_longer, **options)
     words = [m.word() for m in members]
     _write(
         args.format,
@@ -220,12 +219,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _value_doc(value: Polynomial | TruncatedSeries) -> dict:
-    """The JSON view of a polynomial, its ``coeffs`` strings, or of a series,
-    its ``order`` and the view of each z-coefficient in ``z_coeffs``."""
-    if isinstance(value, Polynomial):
-        return {"coeffs": value.to_coeff_strings()}
-    return {"order": value.order, "z_coeffs": [_value_doc(c) for c in value.coeffs]}
+def _value_doc(value: int | Polynomial | TruncatedSeries) -> dict:
+    """The JSON view of an int, its ``value`` string, of a polynomial, its ``coeffs``
+    strings, or of a series, its ``order`` and the view of each z-coefficient in ``z_coeffs``."""
+    if isinstance(value, TruncatedSeries):
+        return {"order": value.order, "z_coeffs": [_value_doc(c) for c in value.coeffs]}
+    poly = isinstance(value, Polynomial)
+    return {"coeffs": value.to_coeff_strings()} if poly else {"value": str(value)}
 
 
 def _report_doc(r: identities.IdentityReport) -> dict:

@@ -52,9 +52,9 @@ class IdentityReport:
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Overrides for :func:`run_grid`.  A range or order replaces the default
-    of that grid axis in every identity that takes the parameter; ``cap`` is
-    passed to every check that takes it as an option.  None keeps the default."""
+    """Overrides for :func:`run_grid`; None keeps the default.  A range or order
+    replaces the default of that grid axis in every identity that takes the
+    parameter; ``cap`` is passed only when set, so unset, ``verify_thm1``'s own applies."""
 
     n_range: tuple[int, int] | None = None
     s_range: tuple[int, int] | None = None

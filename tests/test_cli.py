@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -132,6 +133,15 @@ def test_compute_prints_values_past_the_int_digit_limit(capsys, int_digit_limit,
     assert sys.get_int_max_str_digits() == int_digit_limit
 
 
+def test_compute_builds_its_json_view_only_for_json(capsys, monkeypatch):
+    def unused(value):
+        raise AssertionError("only the json view renders a value document")
+
+    monkeypatch.setattr(cli, "_value_doc", unused)
+    for fmt in ("text", "csv"):
+        assert run_cli(capsys, "compute", "incomplete-poly", "9", "2", "--format", fmt)[0] == 0
+
+
 # ----------------------------------------------------------------------
 # enumerate
 
@@ -170,6 +180,14 @@ def test_enumerate_over_cap(capsys):
     assert run_cli(capsys, "enumerate", "12", "--cap", "12")[0] == 0
 
 
+def test_enumerate_leaves_the_cap_to_the_enumerator(capsys, monkeypatch):
+    monkeypatch.setitem(tilings.enumerate_restricted.__kwdefaults__, "cap", 12)
+    code, _, err = run_cli(capsys, "enumerate", "13")
+    assert code == 2
+    assert "exceeds the cap of 12" in err
+    assert run_cli(capsys, "enumerate", "13", "--cap", "13")[0] == 0
+
+
 def test_enumerate_deeper_than_the_recursion_limit_is_a_usage_error(capsys):
     # one word of 1,200 squares: the walk takes a frame per piece
     code, out, err = run_cli(capsys, "enumerate", "1200", "--max-longer", "0", "--cap", "1200")
@@ -204,6 +222,41 @@ def test_verify_deeper_than_the_recursion_limit_is_resource_limited(capsys):
     assert code == 0
     assert out == "THM1: 0 passed, 0 failed, 0 filtered, 1 resource-limited\noverall: PASS\n"
     assert err == ""
+
+
+def test_verify_adds_no_grid_default(capsys, monkeypatch):
+    """With no ``--cap``, ``verify`` calls every THM1 point as ``run_grid()``
+    does, positionally, so no point goes through ``Signature.bind``."""
+    binds = []
+    bind = inspect.Signature.bind
+
+    def counted(self, *args, **kwargs):
+        binds.append(args)
+        return bind(self, *args, **kwargs)
+
+    monkeypatch.setattr(inspect.Signature, "bind", counted)
+    assert run_cli(capsys, "verify", "thm1")[0] == 0
+    assert run_cli(capsys, "verify", "all")[0] == 0
+    assert binds == []
+    code, out, _ = run_cli(capsys, "verify", "all", "--format", "json")
+    assert code == 0
+    got = [(r["identity_id"], r["params"], r["status"]) for r in json.loads(out)["reports"]]
+    assert got == [(r.identity_id, dict(r.params), r.status) for r in identities.run_grid()]
+    assert binds == []
+    # a typed cap is passed as the keyword, one bind per point
+    assert run_cli(capsys, "verify", "thm1", "--cap", "18")[0] == 0
+    assert len(binds) == len(identities.run_grid(None, ["THM1"]))
+
+
+def test_verify_leaves_the_cap_to_verify_thm1(capsys, monkeypatch):
+    point = ("verify", "thm1", "--n", "19", "--s", "0")
+    limited = "THM1: 0 passed, 0 failed, 0 filtered, 1 resource-limited\noverall: PASS\n"
+    passed = "THM1: 1 passed, 0 failed, 0 filtered, 0 resource-limited\noverall: PASS\n"
+    assert run_cli(capsys, *point) == (0, limited, "")
+    assert run_cli(capsys, *point, "--cap", "19") == (0, passed, "")
+    # the default in effect is the one on the function that computes THM1's sides
+    monkeypatch.setitem(identities.verify_thm1.__wrapped__.__kwdefaults__, "cap", 19)
+    assert run_cli(capsys, *point) == (0, passed, "")
 
 
 def test_verify_order_sets_the_series_order(capsys):
