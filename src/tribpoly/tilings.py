@@ -57,6 +57,22 @@ class _Word:
     pieces: tuple[str, ...]
     _model = ()  # the subclass's piece table; not a field
 
+    def __post_init__(self) -> None:
+        names = [piece for piece, _ in self._model]
+        for piece in self.pieces:
+            if piece not in names:
+                raise ValueError(
+                    f"{type(self).__name__} has no piece {piece!r}; its pieces are {', '.join(names)}"
+                )
+
+    @classmethod
+    def _trusted(cls: type[_W], pieces: tuple[str, ...]) -> _W:
+        """Package-internal constructor for pieces drawn from the model's
+        own table: nothing is checked.  Public input goes through ``__init__``."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "pieces", pieces)
+        return word
+
     @property
     def length(self) -> int:
         lengths = dict(self._model)
@@ -119,12 +135,13 @@ def _words(n: int, cls: type[_W], budget: int, cap: int) -> list[_W]:
             f"enumeration of length {n} exceeds the cap of {cap}; pass a larger cap explicitly"
         )
     (short, _), *longer = cls._model
+    make = cls._trusted
     path: list[str] = []
     out: list[_W] = []
 
     def walk(room: int, left: int) -> None:
         if not room:
-            out.append(cls(tuple(path)))
+            out.append(make(tuple(path)))
             return
         path.append(short)
         walk(room - 1, left)
@@ -179,7 +196,9 @@ def expand_colored(tiling: ColoredTiling) -> Tiling:
     of length n with exactly i longer pieces, preserving the weight
     exponent piece by piece.
     """
-    return Tiling(tuple(_EXPANSION[p] for p in tiling.pieces))
+    if not isinstance(tiling, ColoredTiling):
+        raise TypeError(f"expand_colored takes a ColoredTiling, got {type(tiling).__name__}")
+    return Tiling._trusted(tuple(_EXPANSION[p] for p in tiling.pieces))
 
 
 def exact_longer_distribution(n: int, k: int, *, cap: int = DEFAULT_CAP) -> Polynomial:

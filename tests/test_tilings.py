@@ -280,3 +280,30 @@ def test_tilings_keep_value_semantics():
     # the empty tiling exists in both models, and the two stay distinct
     assert Tiling(()) != ColoredTiling(())
     assert len({Tiling(()), ColoredTiling(())}) == 2
+
+
+@pytest.mark.parametrize(
+    "cls, pieces, bad",
+    [
+        (Tiling, ("r", "q"), "q"),
+        (Tiling, ("B",), "B"),
+        (ColoredTiling, ("W", "r"), "r"),
+        (ColoredTiling, ("",), ""),
+    ],
+)
+def test_a_piece_outside_the_model_is_refused(cls, pieces, bad):
+    with pytest.raises(ValueError, match=repr(bad)):
+        cls(pieces)
+
+
+def test_expand_colored_takes_only_colored_tilings():
+    with pytest.raises(TypeError, match="ColoredTiling"):
+        expand_colored(Tiling(("r",)))
+
+
+def test_enumerated_words_equal_the_checked_ones():
+    # the walk builds its words without the constructor's check
+    for words in (enumerate_tilings(8), enumerate_colored(7, 3)):
+        for w in words:
+            built = type(w)(w.pieces)
+            assert w == built and hash(w) == hash(built)

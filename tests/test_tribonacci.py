@@ -401,3 +401,25 @@ def test_far_members_are_thread_safe(cold_memo):
     assert len(results) == 8
     assert all(r == {n: expected[n] for n in FAR_RUN} for r in results)
     assert trib._polys == list(expected[: trib.MEMO_BOUND + 1])
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+def test_every_exponent_of_a_member_lies_in_one_residue_class(cold_memo, order):
+    # a length-(k - 1) tiling weighs x^(2 squares + dominos), and squares +
+    # 2 dominos + 3 trominos = k - 1, so every exponent is 2k + 1 mod 3
+    indices = range(1, trib.MEMO_BOUND + 61)
+    for k in reversed(indices) if order == "descending" else indices:
+        member = tribonacci_poly(k)
+        assert member.coeffs[-1] == 1, k
+        assert {e % 3 for e, c in enumerate(member.coeffs) if c} == {(2 * k + 1) % 3}, k
+
+
+def test_far_members_match_the_explicit_double_sum(cold_memo):
+    # forwards past the memo's end, forwards to 1401, then back to 1398
+    for n in (trib.MEMO_BOUND + 1, 1401, 1398):
+        assert tribonacci_poly(n) == tribonacci_poly_explicit(n - 1), n
+    # a kept window holds each member's x^3-compressed coefficients and no
+    # slot past its leading one
+    for k, *members in trib._window:
+        for j, member in zip(range(k - 2, k + 1), members):
+            assert member == list(tribonacci_poly(j).coeffs[(2 * j + 1) % 3 :: 3]), j
