@@ -132,16 +132,9 @@ def _series(terms: Sequence, order: int) -> TruncatedSeries:
 def verify_eq4(n: int, s: int):
     """Three-term recurrence of the incomplete polynomials, corrected by the
     overshoot weight: the tilings that first go over a budget of s longer pieces."""
-    inc = trib.incomplete_tribonacci_poly
-    lhs = inc(n + 3, s)
-    correction = trib.overshoot_poly(n - 2 * s + 2, s)
-    rhs = (
-        inc(n + 2, s).times_monomial(1, 2)
-        + inc(n + 1, s).times_monomial(1, 1)
-        + inc(n, s)
-        - correction
-    )
-    return lhs, rhs
+    lhs = trib.incomplete_tribonacci_poly(n + 3, s)
+    members = trib.incomplete_sum([(1, 2, n + 2, s), (1, 1, n + 1, s), (1, 0, n, s)])
+    return lhs, members - trib.overshoot_poly(n - 2 * s + 2, s)
 
 
 @_identity(
@@ -156,15 +149,10 @@ def verify_id1(n: int, s: int, h: int):
     form cleared of the 1 + x^3 denominator.  The cleared form is itself the
     divisibility statement: since 1 + x^3 is monic, it divides the telescope
     with quotient the window exactly when the two sides are equal."""
-    inc = trib.incomplete_tribonacci_poly
-    window = ZERO
-    for i in range(h):
-        window = window + inc(n + i, s).times_monomial(1, 2 * (h - i - 1))
-    bracket = (
-        inc(n + h + 2, s + 1)
-        - inc(n + 2, s + 1).times_monomial(1, 2 * h)
-        + inc(n, s).times_monomial(1, 2 * h + 1)
-        - inc(n + h, s).times_monomial(1, 1)
+    window = trib.incomplete_sum([(1, 2 * (h - i - 1), n + i, s) for i in range(h)])
+    bracket = trib.incomplete_sum(
+        [(1, 0, n + h + 2, s + 1), (-1, 2 * h, n + 2, s + 1)]
+        + [(1, 2 * h + 1, n, s), (-1, 1, n + h, s)]
     )
     return Polynomial((1, 0, 0, 1)) * window, bracket
 
@@ -213,44 +201,44 @@ def verify_remark_a(order: int):
 @_identity("ID4", lambda n, s: s >= 0 and n >= 2 * s + 1, n=(1, 16), s=(0, 4))
 def verify_id4(n: int, s: int):
     """Decomposition of an incomplete polynomial by its run of trailing dominos."""
-    inc = trib.incomplete_tribonacci_poly
-    rhs = ZERO
-    for i in range(s + 1):
-        rhs = rhs + inc(n - 2 * i, s - i).times_monomial(1, i + 2)
-        rhs = rhs + inc(n - 2 * i - 2, s - i - 1).times_monomial(1, i)
-    return inc(n + 1, s), rhs
+    rhs = trib.incomplete_sum(
+        [(1, i + 2, n - 2 * i, s - i) for i in range(s + 1)]
+        + [(1, i, n - 2 * i - 2, s - i - 1) for i in range(s + 1)]
+    )
+    return trib.incomplete_tribonacci_poly(n + 1, s), rhs
 
 
 @_identity("ID5", lambda n, s: s >= 0 and n >= 3 * s + 1, n=(1, 16), s=(0, 4))
 def verify_id5(n: int, s: int):
     """Decomposition by the composition of the final s tiles (trinomial refinement)."""
-    inc = trib.incomplete_tribonacci_poly
-    rhs = ZERO
-    for i in range(s + 1):
-        for j in range(s - i + 1):
-            coeff = trib.binom(s, i) * trib.binom(s - i, j)
-            rhs = rhs + inc(n - s - i - 2 * j, s - i - j).times_monomial(
-                coeff, 2 * s - i - 2 * j
-            )
-    return inc(n, s), rhs
+    binom = trib.binom
+    rhs = trib.incomplete_sum(
+        [
+            (binom(s, i) * binom(s - i, j), 2 * s - i - 2 * j, n - s - i - 2 * j, s - i - j)
+            for i in range(s + 1)
+            for j in range(s - i + 1)
+        ]
+    )
+    return trib.incomplete_tribonacci_poly(n, s), rhs
 
 
 @_identity("ID6", lambda n, s: s >= 0 and n >= 2 * s, n=(0, 14), s=(0, 4))
 def verify_id6(n: int, s: int):
     """Expansion through the incomplete Fibonacci family.  The statement lives
     at half-integer exponents, so both sides are compared after x -> y^2:
-    tribonacci members carry exponents doubled, Fibonacci members tripled."""
-    inc = trib.incomplete_tribonacci_poly
+    tribonacci members carry exponents doubled, Fibonacci members tripled.
+
+    The right side's tribonacci factors are the level-j steps
+    inc(m, j) - inc(m, j - 1), read by the level lemma as the triangle entry
+    B(m - 1 - j, j): zero past the top level, where both members clamp."""
     fib = trib.incomplete_fibonacci_poly
     rhs = fib(n + 1, s).substitute_power(3).times_monomial(1, n)
     for i in range(1, n - 1):
         for j in range(s):
-            delta = inc(n - i - 1, j) - inc(n - i - 1, j - 1)
-            if delta.is_zero:
-                continue
-            piece = delta.substitute_power(2) * fib(i, s - j - 1).substitute_power(3)
+            level = trib.triangle_poly(n - i - 2 - j, j).substitute_power(2)
+            piece = level * fib(i, s - j - 1).substitute_power(3)
             rhs = rhs + piece.times_monomial(1, i - 1)
-    return inc(n + 1, s).substitute_power(2), rhs
+    return trib.incomplete_tribonacci_poly(n + 1, s).substitute_power(2), rhs
 
 
 @_identity("EQ12", lambda n, s: s >= 0 and n >= 2 * s + 1, n=(1, 18), s=(0, 4))

@@ -58,6 +58,8 @@ class _Word:
     _model = ()  # the subclass's piece table; not a field
 
     def __post_init__(self) -> None:
+        # a string or a list of pieces is kept as the tuple it stands for
+        object.__setattr__(self, "pieces", tuple(self.pieces))
         names = [piece for piece, _ in self._model]
         for piece in self.pieces:
             if piece not in names:

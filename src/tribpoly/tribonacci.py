@@ -220,6 +220,15 @@ def incomplete_tribonacci_poly(m: int, s: int) -> Polynomial:
     return level_sum(m - 1, [1] * (_top_level(m, s) + 1))
 
 
+def incomplete_sum(terms: list[tuple[int, int, int, int]]) -> Polynomial:
+    """Sum of ``c * x^e * incomplete_tribonacci_poly(m, s)`` over the
+    ``(c, e, m, s)`` terms, shifts e >= 0, as one triangle sum: level l of
+    the index-m member is B(m-1-l, l)."""
+    return _triangle_sum(
+        (m - 1 - l, l, c, e) for c, e, m, s in terms for l in range(_top_level(m, s) + 1)
+    )
+
+
 def incomplete_tribonacci_number(m: int, s: int) -> int:
     """Incomplete tribonacci number: the index-m, level-s polynomial at x = 1."""
     return incomplete_tribonacci_poly(m, s).evaluate(1)

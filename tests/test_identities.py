@@ -171,6 +171,7 @@ FAMILY_VALUES = (
     "triangle_poly",
     "level_sum",
     "incomplete_tribonacci_poly",
+    "incomplete_sum",
     "incomplete_tribonacci_number",
     "incomplete_fibonacci_poly",
     "overshoot_poly",

@@ -273,6 +273,10 @@ def test_tilings_keep_value_semantics():
     a, b = Tiling(("r", "d")), Tiling(("r", "d"))
     assert a == b and hash(a) == hash(b) and a is not b
     assert len({a, b, Tiling(("d", "r"))}) == 2
+    # pieces given as a string or a list are kept as a tuple
+    for word in (Tiling("rd"), Tiling(["r", "d"])):
+        assert word.pieces == ("r", "d") and word == a and hash(word) == hash(a)
+    assert hash(Tiling(["r"])) == hash(Tiling(("r",)))
     for member in (a, ColoredTiling(("W", "D"))):
         with pytest.raises(dataclasses.FrozenInstanceError):
             member.pieces = ()

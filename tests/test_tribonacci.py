@@ -117,6 +117,12 @@ def test_incomplete_is_partial_sum_of_triangle():
             for i in range(s + 1):
                 expected = expected + triangle_poly(m - 1 - i, i)
             assert incomplete_tribonacci_poly(m, s) == expected
+    # the level lemma: level j of the index-m member is B(m-1-j, j), so the
+    # step from level j - 1 to j is that entry; past the top both are zero
+    for m in range(1, 60):
+        for j in range(12):
+            step = incomplete_tribonacci_poly(m, j) - incomplete_tribonacci_poly(m, j - 1)
+            assert step == triangle_poly(m - 1 - j, j)
 
 
 def test_incomplete_clamps_to_full_polynomial():
@@ -127,10 +133,11 @@ def test_incomplete_clamps_to_full_polynomial():
 
 
 def test_incomplete_validation():
-    with pytest.raises(ValueError):
-        incomplete_tribonacci_poly(0, 0)
-    with pytest.raises(ValueError):
-        incomplete_tribonacci_poly(5, -2)
+    for m, s in [(0, 0), (-2, 3), (5, -2)]:
+        with pytest.raises(ValueError):
+            incomplete_tribonacci_poly(m, s)
+        with pytest.raises(ValueError):
+            trib.incomplete_sum([(1, 0, 5, 1), (1, 2, m, s)])
     # level -1 short-circuits before the index check (boundary convention)
     assert incomplete_tribonacci_poly(-1, -1) == ZERO
 
@@ -263,6 +270,41 @@ triangle_parts = st.tuples(
 def test_triangle_sum_matches_its_definition(parts):
     result = trib._triangle_sum(parts)
     assert result == triangle_sum_by_definition(parts)
+    assert not result.coeffs or result.coeffs[-1] != 0
+
+
+incomplete_terms = st.one_of(
+    # (c, e, m, s); s runs past the top level floor((m-1)/2) of small m
+    st.tuples(
+        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=-1, max_value=25),
+    ),
+    # level -1 is the zero member whatever m is
+    st.tuples(
+        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=-3, max_value=0),
+        st.just(-1),
+    ),
+)
+
+
+@given(st.lists(incomplete_terms, max_size=5))
+@example([])
+@example([(1, 0, 1, 0)])  # the member 1
+@example([(2, 3, 9, -1)])  # level -1: zero
+@example([(1, 2, 7, 10)])  # past the top: the full member
+@example([(0, 1, 12, 3)])  # c = 0
+@example([(3, 1, 15, 4), (-3, 1, 15, 4)])  # members that cancel
+@example([(1, 2, 8, 2), (1, 1, 7, 2), (1, 0, 6, 2)])  # EQ4's three members
+def test_incomplete_sum_matches_the_members(terms):
+    expected = ZERO
+    for c, e, m, s in terms:
+        expected = expected + incomplete_tribonacci_poly(m, s).times_monomial(c, e)
+    result = trib.incomplete_sum(terms)
+    assert result == expected
     assert not result.coeffs or result.coeffs[-1] != 0
 
 
