@@ -21,11 +21,12 @@ import functools
 import inspect
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
 
 from . import tilings
 from . import tribonacci as trib
-from .poly import Polynomial, X, ZERO
+from .poly import ONE, Polynomial, X, ZERO, _product_sum
 from .series import TruncatedSeries, rational_expand
 
 PASSED = "passed"
@@ -184,10 +185,8 @@ def verify_id3(n: int):
     """Sum over all restriction levels versus a convolution over the position
     of a longer piece."""
     tp = trib.tribonacci_poly
-    conv = ZERO
-    for j in range(1, n):
-        conv = conv + (tp(j).times_monomial(1, 1) + tp(j - 1)) * tp(n - j)
-    return _all_levels(n), tp(n + 1) * (n // 2 + 1) - conv
+    conv = ((-1, 0, tp(j).times_monomial(1, 1) + tp(j - 1), tp(n - j)) for j in range(1, n))
+    return _all_levels(n), _product_sum(chain([(n // 2 + 1, 0, tp(n + 1), ONE)], conv))
 
 
 @_identity("REMARK_A", lambda order: order >= 0, order=20)
@@ -226,28 +225,28 @@ def verify_id5(n: int, s: int):
 def verify_id6(n: int, s: int):
     """Expansion through the incomplete Fibonacci family.  The statement lives
     at half-integer exponents, so both sides are compared after x -> y^2:
-    tribonacci members carry exponents doubled, Fibonacci members tripled.
+    tribonacci members carry exponents doubled, Fibonacci members tripled,
+    the right side's by the product sum's powers (2, 3).
 
     The right side's tribonacci factors are the level-j steps
     inc(m, j) - inc(m, j - 1), read by the level lemma as the triangle entry
     B(m - 1 - j, j): zero past the top level, where both members clamp."""
     fib = trib.incomplete_fibonacci_poly
-    rhs = fib(n + 1, s).substitute_power(3).times_monomial(1, n)
-    for i in range(1, n - 1):
-        for j in range(s):
-            level = trib.triangle_poly(n - i - 2 - j, j).substitute_power(2)
-            piece = level * fib(i, s - j - 1).substitute_power(3)
-            rhs = rhs + piece.times_monomial(1, i - 1)
+    pieces = (
+        (1, i - 1, trib.triangle_poly(n - i - 2 - j, j), fib(i, s - j - 1))
+        for i in range(1, n - 1)
+        for j in range(s)
+    )
+    rhs = _product_sum(chain([(1, n, ONE, fib(n + 1, s))], pieces), (2, 3))
     return trib.incomplete_tribonacci_poly(n + 1, s).substitute_power(2), rhs
 
 
 @_identity("EQ12", lambda n, s: s >= 0 and n >= 2 * s + 1, n=(1, 18), s=(0, 4))
 def verify_eq12(n: int, s: int):
     """Full polynomial minus the overshoot convolution equals the incomplete one."""
-    acc = ZERO
-    for i in range(n - 2 * s):
-        acc = acc + trib.overshoot_poly(i, s) * trib.tribonacci_poly(n - 2 * s - i)
-    return trib.incomplete_tribonacci_poly(n, s), trib.tribonacci_poly(n) - acc
+    tp = trib.tribonacci_poly
+    conv = ((-1, 0, trib.overshoot_poly(i, s), tp(n - 2 * s - i)) for i in range(n - 2 * s))
+    return trib.incomplete_tribonacci_poly(n, s), _product_sum(chain([(1, 0, tp(n), ONE)], conv))
 
 
 @_identity("EQ13", lambda n, s: s >= 0 and n >= 2 * s + 1, n=(1, 18), s=(0, 4))

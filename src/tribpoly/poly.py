@@ -38,6 +38,24 @@ def _mul_add(
             out[e + f] += x * y
 
 
+def _product_sum(
+    terms: Iterable[tuple[int, int, "Polynomial", "Polynomial"]],
+    powers: tuple[int, int] = (1, 1),
+) -> "Polynomial":
+    """Sum of ``c * x^e * P(x^p) * Q(x^q)`` over the ``(c, e, P, Q)`` terms,
+    ``(p, q)`` the powers, into one int list through ``_mul_add``: c and e
+    ride on P's terms, so the polynomial is built once, not once per term.
+    The terms are read once, so a generator keeps one term's operands alive.
+
+    Package-internal: int weights, shifts e >= 0 and powers >= 1 are trusted."""
+    p, q = powers
+    out: list[int] = []
+    for c, e, a, b in terms:
+        a_terms = [(p * k + e, c * x) for k, x in enumerate(a._coeffs) if x]
+        _mul_add(out, a_terms, [(q * k, y) for k, y in enumerate(b._coeffs) if y])
+    return Polynomial._trusted(out)
+
+
 class Polynomial:
     """Dense integer polynomial; ``coeffs[k]`` is the coefficient of ``x**k``.
 

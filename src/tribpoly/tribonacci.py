@@ -224,6 +224,11 @@ def incomplete_sum(terms: list[tuple[int, int, int, int]]) -> Polynomial:
     """Sum of ``c * x^e * incomplete_tribonacci_poly(m, s)`` over the
     ``(c, e, m, s)`` terms, shifts e >= 0, as one triangle sum: level l of
     the index-m member is B(m-1-l, l)."""
+    for c, e, _, _ in terms:
+        if not isinstance(c, int):
+            raise TypeError(f"incomplete_sum weights must be ints, got {type(c).__name__}")
+        if e < 0:
+            raise ValueError(f"incomplete_sum shifts must be >= 0, got {e}")
     return _triangle_sum(
         (m - 1 - l, l, c, e) for c, e, m, s in terms for l in range(_top_level(m, s) + 1)
     )

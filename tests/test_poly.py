@@ -1,10 +1,11 @@
 from itertools import zip_longest
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tribpoly import ONE, Polynomial, X, ZERO
+from tribpoly.poly import _product_sum
 
 polys = st.lists(st.integers(min_value=-9, max_value=9), max_size=6).map(Polynomial)
 points = st.integers(min_value=-5, max_value=5)
@@ -181,3 +182,37 @@ def test_arithmetic_matches_plain_list_reference(a, b, k, c, e, m):
     ]
     for result, reference in cases:
         assert result.coeffs == Polynomial(reference).coeffs == _canonical(reference)
+
+
+product_terms = st.tuples(
+    st.integers(min_value=-5, max_value=5),
+    st.integers(min_value=0, max_value=6),
+    int_lists,
+    int_lists,
+)
+
+
+@given(
+    st.lists(product_terms, max_size=5),
+    st.sampled_from([(1, 1), (2, 3), (3, 1)]),
+)
+@example([], (1, 1))  # no term: ZERO
+@example([(3, 2, [0, 0], [5])], (1, 1))  # a zero operand, zeros kept in the list
+@example([(-2, 0, [1, 1], [1, -1])], (1, 1))  # negative c, e = 0
+@example([(0, 3, [1, 2], [3])], (2, 3))  # c = 0
+@example([(1, 0, [4], [1, 2]), (-1, 0, [4], [1, 2])], (2, 3))  # terms that cancel
+def test_product_sum_matches_plain_list_reference(terms, powers):
+    p, q = powers
+    reference = [0]
+    for c, e, a, b in terms:
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                k = e + p * i + q * j
+                reference += [0] * (k + 1 - len(reference))
+                reference[k] += c * x * y
+    result = _product_sum([(c, e, Polynomial(a), Polynomial(b)) for c, e, a, b in terms], powers)
+    assert result.coeffs == _canonical(reference)
+    if powers == (1, 1):
+        assert result == sum(
+            (Polynomial(a) * Polynomial(b)).times_monomial(c, e) for c, e, a, b in terms
+        )

@@ -138,6 +138,13 @@ def test_incomplete_validation():
             incomplete_tribonacci_poly(m, s)
         with pytest.raises(ValueError):
             trib.incomplete_sum([(1, 0, 5, 1), (1, 2, m, s)])
+    # a negative shift is refused, as times_monomial refuses it, even on a
+    # zero member; it would index the sum's list from its end
+    for term in [(1, -3, 2, 0), (1, -1, 3, 1), (1, -1, 4, -1)]:
+        with pytest.raises(ValueError, match="shifts must be >= 0"):
+            trib.incomplete_sum([(1, 4, 9, 2), term])
+    with pytest.raises(TypeError):
+        trib.incomplete_sum([(0.5, 0, 3, 1)])
     # level -1 short-circuits before the index check (boundary convention)
     assert incomplete_tribonacci_poly(-1, -1) == ZERO
 
