@@ -125,6 +125,13 @@ def _series(terms: Sequence, order: int) -> TruncatedSeries:
     return TruncatedSeries(terms[: order + 1], order)
 
 
+def _split_head(s: int) -> list[Polynomial]:
+    """Weights of the first 2s + j cells, j = 0, 1, 2, as a tiling meets the cut after
+    cell 2s: no piece across it, a piece ending one past it, a tromino ending two past it."""
+    tp = trib.tribonacci_poly
+    return [tp(2 * s + 1), tp(2 * s - 1) + tp(2 * s).times_monomial(1, 1), tp(2 * s)]
+
+
 # ----------------------------------------------------------------------
 # the catalog
 
@@ -159,13 +166,10 @@ def verify_id1(n: int, s: int, h: int):
 
 
 def _all_levels(n: int) -> Polynomial:
-    """Sum of the index-(n+1) incomplete polynomials over every level, each
-    member the one before it plus its level's triangle entry."""
-    member = total = ZERO
-    for s in range(n // 2 + 1):
-        member = member + trib.triangle_poly(n - s, s)
-        total = total + member
-    return total
+    """Sum of the index-(n+1) incomplete polynomials over every level s: level
+    i's triangle entry lies in the top - i members s >= i."""
+    top = n // 2 + 1
+    return _product_sum((top - i, 0, trib.triangle_poly(n - i, i), ONE) for i in range(top))
 
 
 def _id2_correction(n: int) -> Polynomial:
@@ -176,8 +180,7 @@ def _id2_correction(n: int) -> Polynomial:
 @_identity("ID2", lambda n: n >= 1, n=(1, 16))
 def verify_id2(n: int):
     """Sum over all restriction levels versus the double-sum correction term."""
-    rhs = trib.tribonacci_poly(n + 1) * (n // 2 + 1) - _id2_correction(n)
-    return _all_levels(n), rhs
+    return _all_levels(n), trib.tribonacci_poly(n + 1) * (n // 2 + 1) - _id2_correction(n)
 
 
 @_identity("ID3", lambda n: n >= 1, n=(1, 16))
@@ -251,14 +254,10 @@ def verify_eq12(n: int, s: int):
 
 @_identity("EQ13", lambda n, s: s >= 0 and n >= 2 * s + 1, n=(1, 18), s=(0, 4))
 def verify_eq13(n: int, s: int):
-    """Splitting of the full polynomial at a fixed boundary position."""
+    """Splitting of the full polynomial at the cut after cell 2s: a tiling that
+    meets it as ``_split_head(s)[j]`` says goes on with T(n - 2s - j)."""
     tp = trib.tribonacci_poly
-    rhs = (
-        tp(n - 2 * s) * tp(2 * s + 1)
-        + tp(n - 2 * s - 1) * (tp(2 * s - 1) + tp(2 * s).times_monomial(1, 1))
-        + tp(n - 2 * s - 2) * tp(2 * s)
-    )
-    return tp(n), rhs
+    return tp(n), _product_sum((1, 0, h, tp(n - 2 * s - j)) for j, h in enumerate(_split_head(s)))
 
 
 @_identity("THM1", lambda n, s: n >= 0 and s >= 0, n=(0, 14), s=lambda n: (0, n // 2))
@@ -302,7 +301,7 @@ def closed_form_generating_series(s: int, order: int, *, x1: bool = False) -> Tr
     """Rational closed form of the level-s generating function, expanded.
 
     The paper's form is z^(2s+1) (head(z) - overshoot(z)) / D(z): head is the
-    z-quadratic of the tribonacci members 2s - 1 .. 2s + 1, overshoot is
+    z-quadratic of EQ13's split (``_split_head``), overshoot is
     ``_overshoot_series`` and D = 1 - x^2 z - x z^2 - z^3.  An expansion costs
     the denominator's nonzero z-terms, so the one by D stays cheap however
     dense the numerator is.
@@ -316,8 +315,7 @@ def closed_form_generating_series(s: int, order: int, *, x1: bool = False) -> Tr
         head = [tn(2 * s + 1), tn(2 * s - 1) + tn(2 * s), tn(2 * s)]
         overshoot = _overshoot_series(1, s, order)
     else:
-        tp = trib.tribonacci_poly
-        head = [tp(2 * s + 1), tp(2 * s - 1) + tp(2 * s).times_monomial(1, 1), tp(2 * s)]
+        head = _split_head(s)
         overshoot = overshoot_generating_series(s, order)
     return rational_expand(_series(head, order) - overshoot, denominator).shifted(2 * s + 1)
 
@@ -376,6 +374,8 @@ def run_grid(
     config: GridConfig | None = None, identities: Sequence[str] | None = None
 ) -> list[IdentityReport]:
     """Verify identities over their grids, in catalog order; deterministic."""
+    if isinstance(identities, str):
+        raise TypeError(f"identities must be a sequence of ids, got the string {identities!r}")
     cfg = config if config is not None else GridConfig()
     wanted = set(CATALOG if identities is None else identities)
     unknown = wanted.difference(CATALOG)

@@ -333,6 +333,9 @@ def test_run_grid_identity_subset_and_validation():
     assert reports and all(r.identity_id == "EQ13" for r in reports)
     with pytest.raises(ValueError):
         run_grid(GridConfig(), ["NOPE"])
+    # a string is a sequence of one-letter ids, never the id it spells
+    with pytest.raises(TypeError, match="sequence of ids"):
+        run_grid(GridConfig(), "ID2")
 
 
 def test_run_grid_cap_marks_resource_limits():
@@ -413,3 +416,20 @@ def test_a_fault_on_the_closed_form_side_fails(monkeypatch):
     monkeypatch.setattr(ident, "overshoot_generating_series", lambda s, order: real(s + 1, order))
     for s in range(5):
         assert verify_thm2(s, 25).status == "failed", s
+
+
+@pytest.mark.parametrize("j", range(3))
+def test_a_fault_in_the_split_head_fails_eq13_and_thm2(j, monkeypatch):
+    # EQ13's split and the closed form's numerator read one head, so item j
+    # off by one fails both identities at every s of their default grids
+    real = ident._split_head
+
+    def faulty(s):
+        return [h + int(i == j) for i, h in enumerate(real(s))]
+
+    monkeypatch.setattr(ident, "_split_head", faulty)
+    lo, hi = ident.CATALOG["EQ13"].axes["s"]
+    assert ident.CATALOG["THM2"].axes["s"] == (lo, hi)
+    for s in range(lo, hi + 1):
+        reports = run_grid(GridConfig(s_range=(s, s)), ["EQ13", "THM2"])
+        assert {r.identity_id for r in reports if r.status == "failed"} == {"EQ13", "THM2"}, s
