@@ -121,7 +121,7 @@ def _identity(identity_id: str, precondition: Callable[..., bool], **axes: objec
 
 
 def _series(terms: Sequence, order: int) -> TruncatedSeries:
-    """A series from its leading terms, cut to the order."""
+    """A series from its leading terms, cut or padded with zeros to the order."""
     return TruncatedSeries(terms[: order + 1], order)
 
 
@@ -196,8 +196,8 @@ def verify_id3(n: int):
 def verify_remark_a(order: int):
     """Closed rational generating function for the correction totals at x = 1."""
     lhs = TruncatedSeries([_id2_correction(k).evaluate(1) for k in range(order + 1)], order)
-    base = _series([1, -1, -1, -1], order)
-    return lhs, rational_expand(_series([0, 0, 1, 1], order), base * base)
+    base = _series([1, -1, -1, -1], 6)  # its square has degree 6
+    return lhs, rational_expand(_series([0, 0, 1, 1], order), _series((base * base).coeffs, order))
 
 
 @_identity("ID4", lambda n, s: s >= 0 and n >= 2 * s + 1, n=(1, 16), s=(0, 4))
@@ -274,9 +274,9 @@ def verify_thm1(n: int, s: int, *, cap: int = tilings.DEFAULT_CAP):
 
 def _overshoot_series(x, s: int, order: int) -> TruncatedSeries:
     """z^2 * ((x + z) / (1 - x^2 z))^(s+1), for x the symbol X or the number 1.
-    The powers come first, so the one expansion is by a z-polynomial of degree s + 1."""
-    numerator = _series([x, 1], order) ** (s + 1)
-    return rational_expand(numerator, _series([1, -(x * x)], order) ** (s + 1)).shifted(2)
+    Both powers have z-degree s + 1: each is taken at that order, then cut or padded."""
+    num, den = ((_series(f, s + 1) ** (s + 1)).coeffs for f in ([x, 1], [1, -(x * x)]))
+    return rational_expand(_series(num, order), _series(den, order)).shifted(2)
 
 
 def overshoot_generating_series(s: int, order: int) -> TruncatedSeries:

@@ -27,8 +27,8 @@ def _mul_add(
     """Add ``a[e] * b[f]`` into ``out[e + f]`` over the nonzero terms of both,
     first growing ``out`` with zeros to hold the product.
 
-    The one schoolbook multiply of the package: ``Polynomial.__mul__`` and
-    the series products accumulate into plain int lists through it."""
+    The one schoolbook multiply of the package: ``_product_sum``, and with it
+    ``Polynomial.__mul__``, and the series kernel accumulate into int lists through it."""
     if not a_terms or not b_terms:
         return
     if (grow := a_terms[-1][0] + b_terms[-1][0] + 1 - len(out)) > 0:
@@ -122,11 +122,10 @@ class Polynomial:
         return bool(self._coeffs)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Polynomial):
-            return self._coeffs == other._coeffs
-        if isinstance(other, int):
-            return self._coeffs == Polynomial((other,))._coeffs
-        return NotImplemented
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        return self._coeffs == rhs._coeffs
 
     def __hash__(self) -> int:
         return hash(self._coeffs)
@@ -171,13 +170,11 @@ class Polynomial:
         return lhs - self
 
     def __mul__(self, other: "Polynomial | int") -> "Polynomial":
+        if isinstance(other, Polynomial):
+            return _product_sum([(1, 0, self, other)])
         if isinstance(other, int):
-            return Polynomial._trusted([other * c for c in self._coeffs])
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        out: list[int] = []
-        _mul_add(out, _terms(self._coeffs), _terms(other._coeffs))
-        return Polynomial._trusted(out)
+            return self.times_monomial(other, 0)
+        return NotImplemented
 
     __rmul__ = __mul__
 

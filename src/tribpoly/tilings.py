@@ -122,14 +122,16 @@ _W = TypeVar("_W", bound=_Word)
 
 def _words(n: int, cls: type[_W], budget: int, cap: int) -> list[_W]:
     """Words of ``cls``'s model of length n with at most ``budget`` longer
-    pieces.  The walk owns the limits, in order: a negative length is a
-    ValueError, a length past ``cap`` an EnumerationCapError, and a negative
-    budget gives no words.
+    pieces.  The walk owns the limits, in order: a length or budget that is
+    not an int is a TypeError, a negative length a ValueError, a length past
+    ``cap`` an EnumerationCapError, and a negative budget gives no words.
 
     One depth-first walk over a shared path builds each word once, at its
     leaf.  It has one rule, at most ``budget`` longer pieces; an exact count
     of them is a filter of the words it returns.
     """
+    if not isinstance(n, int) or not isinstance(budget, int):
+        raise TypeError(f"tiling length and budget must be ints, got {n!r} and {budget!r}")
     if n < 0:
         raise ValueError(f"tiling length must be >= 0, got {n}")
     if n > cap:

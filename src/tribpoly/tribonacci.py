@@ -175,6 +175,10 @@ def _triangle_sum(parts: Iterable[tuple[int, int, int, int]]) -> Polynomial:
 def level_sum(n: int, weights: Iterable[int]) -> Polynomial:
     """Levels i = 0, 1, ... of the index-(n+1) double sum, level i weighted
     by ``weights[i]``; level i is B(n-i, i)."""
+    weights = list(weights)
+    for weight in weights:
+        if not isinstance(weight, int):
+            raise TypeError(f"level_sum weights must be ints, got {type(weight).__name__}")
     return _triangle_sum((n - i, i, weight, 0) for i, weight in enumerate(weights))
 
 

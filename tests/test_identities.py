@@ -396,6 +396,28 @@ def test_overshoot_series_at_order_120(s):
     assert list(at_one.coeffs) == [trib.overshoot_poly(k, s).evaluate(1) for k in range(121)]
 
 
+def test_each_series_product_runs_at_the_degree_of_its_factors(monkeypatch):
+    # the overshoot's two powers are z-polynomials of degree s + 1, and
+    # REMARK_A's squared base has degree 6: each product runs at that order,
+    # not at the order of the series it feeds
+    orders = []
+    real = TruncatedSeries.__mul__
+
+    def recording(a, b):
+        orders.append(a.order)
+        return real(a, b)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", recording)
+    for x1 in (False, True):
+        for s in range(5):
+            orders.clear()
+            closed_form_generating_series(s, 120, x1=x1)
+            assert orders and set(orders) == {s + 1}, (s, x1)
+    orders.clear()
+    assert verify_remark_a(60).passed
+    assert orders and set(orders) == {6}
+
+
 def test_a_fault_on_the_closed_form_side_fails(monkeypatch):
     # the direct side reads neither tribonacci family nor the overshoot series,
     # so each fault below reaches only the closed form's head or overshoot

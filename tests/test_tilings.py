@@ -135,6 +135,21 @@ def test_cap_enforcement():
     assert len(enumerate_tilings(7, cap=7)) == tribonacci_number(8)
 
 
+def test_a_count_that_is_not_an_int_is_a_type_error():
+    # a float count steps past 0 without reaching it: a budget would stop
+    # no longer piece, and a length would walk past the recursion limit
+    calls = [
+        lambda: enumerate_restricted(6, 1.5),
+        lambda: enumerate_tilings(5.5),
+        lambda: exact_longer_distribution(6, 1.5),
+        lambda: enumerate_colored(6, 1.5),
+        lambda: overshoot_distribution(4, 0.5),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="^tiling length and budget must be ints"):
+            call()
+
+
 # Each enumerator with its result for no words (None: it takes no budget).
 # The walk applies the limits in one order: a negative length is a
 # ValueError, then a length past the cap an EnumerationCapError, and only

@@ -145,6 +145,8 @@ def test_incomplete_validation():
             trib.incomplete_sum([(1, 4, 9, 2), term])
     with pytest.raises(TypeError):
         trib.incomplete_sum([(0.5, 0, 3, 1)])
+    with pytest.raises(TypeError, match="^level_sum weights must be ints, got float$"):
+        trib.level_sum(6, [1.5, 1])
     # level -1 short-circuits before the index check (boundary convention)
     assert incomplete_tribonacci_poly(-1, -1) == ZERO
 
