@@ -256,8 +256,6 @@ def _verify_lines(reports: Sequence[identities.IdentityReport], ok: bool) -> Ite
 
 
 def _cmd_gf(args: argparse.Namespace) -> int:
-    if args.s < 0:
-        raise ValueError(f"restriction level must be >= 0, got {args.s}")
     if args.order < 2 * args.s + 1:
         raise ValueError(
             f"order {args.order} is below the series offset {2 * args.s + 1}; nothing to show"

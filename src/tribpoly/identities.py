@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 from . import tilings
 from . import tribonacci as trib
-from .poly import ONE, Polynomial, X, ZERO, _product_sum
+from .poly import ONE, Polynomial, X, ZERO, _product_sum, _require_int
 from .series import TruncatedSeries, rational_expand
 
 PASSED = "passed"
@@ -282,16 +282,14 @@ def _overshoot_series(x, s: int, order: int) -> TruncatedSeries:
 def overshoot_generating_series(s: int, order: int) -> TruncatedSeries:
     """z^2 * ((x + z) / (1 - x^2 z))^(s+1); its z^n coefficient is
     ``overshoot_poly(n, s)``."""
-    if s < 0:
-        raise ValueError(f"overshoot level must be >= 0, got {s}")
+    _require_int(s, "overshoot level", 0)
     return _overshoot_series(X, s, order)
 
 
 def direct_generating_series(s: int, order: int, *, x1: bool = False) -> TruncatedSeries:
     """Sum of the level-s incomplete family over all admissible indices,
     straight from the defining formulas; coefficients are numbers when x1."""
-    if s < 0:
-        raise ValueError(f"restriction level must be >= 0, got {s}")
+    _require_int(s, "restriction level", 0)
     family = trib.incomplete_tribonacci_number if x1 else trib.incomplete_tribonacci_poly
     start = 2 * s + 1  # the lowest index with a level-s member
     return _series([ZERO] * start + [family(k, s) for k in range(start, order + 1)], order)
@@ -306,8 +304,7 @@ def closed_form_generating_series(s: int, order: int, *, x1: bool = False) -> Tr
     the denominator's nonzero z-terms, so the one by D stays cheap however
     dense the numerator is.
     """
-    if s < 0:
-        raise ValueError(f"restriction level must be >= 0, got {s}")
+    _require_int(s, "restriction level", 0)
     x = 1 if x1 else X
     denominator = _series([1, -(x * x), -x, -1], order)
     if x1:

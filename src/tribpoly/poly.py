@@ -10,10 +10,12 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 
-def _not_exact(value: object) -> TypeError:
-    # bool is an int subclass and harmless; floats would silently break
-    # exactness, so they are rejected outright.
-    return TypeError(f"polynomial coefficients must be exact integers, got {type(value).__name__}")
+def _require_int(value: object, what: str, low: int | None = None) -> None:
+    """The one check of an integer argument (bool is an int): its type, then ``low``."""
+    if not isinstance(value, int):
+        raise TypeError(f"{what} must be an int, got {type(value).__name__}")
+    if low is not None and value < low:
+        raise ValueError(f"{what} must be >= {low}, got {value}")
 
 
 def _terms(coeffs: Sequence[int]) -> list[tuple[int, int]]:
@@ -69,8 +71,9 @@ class Polynomial:
     def __init__(self, coeffs: Iterable[int] = ()) -> None:
         stripped = list(coeffs)
         for c in stripped:
-            if not isinstance(c, int):
-                raise _not_exact(c)
+            if not isinstance(c, int):  # bool is an int; a float would break exactness
+                t = type(c).__name__
+                raise TypeError(f"polynomial coefficients must be exact integers, got {t}")
         while stripped and stripped[-1] == 0:
             stripped.pop()
         self._coeffs = tuple(stripped)
@@ -128,7 +131,8 @@ class Polynomial:
         return self._coeffs == rhs._coeffs
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        # a constant equals, so hashes as, the int it holds
+        return hash(self._coeffs if len(self._coeffs) > 1 else sum(self._coeffs))
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -180,18 +184,15 @@ class Polynomial:
 
     def times_monomial(self, coefficient: int, exponent: int) -> "Polynomial":
         """``coefficient * x**exponent * self`` without a full convolution."""
-        if exponent < 0:
-            raise ValueError(f"monomial exponent must be >= 0, got {exponent}")
-        if not isinstance(coefficient, int):
-            raise _not_exact(coefficient)
+        _require_int(exponent, "monomial exponent", 0)
+        _require_int(coefficient, "monomial coefficient")
         if coefficient == 0 or not self._coeffs:
             return Polynomial()
         return Polynomial._trusted([0] * exponent + [coefficient * c for c in self._coeffs])
 
     def evaluate(self, point: int) -> int:
         """Exact integer evaluation at ``x = point`` (Horner)."""
-        if not isinstance(point, int):
-            raise TypeError("evaluation point must be an exact integer")
+        _require_int(point, "evaluation point")
         acc = 0
         for c in reversed(self._coeffs):
             acc = acc * point + c
@@ -199,8 +200,7 @@ class Polynomial:
 
     def substitute_power(self, m: int) -> "Polynomial":
         """Substitute ``x -> y**m``: every exponent is multiplied by m."""
-        if m < 1:
-            raise ValueError(f"power substitution needs m >= 1, got {m}")
+        _require_int(m, "substituted power", 1)
         if not self._coeffs:
             return Polynomial()
         out = [0] * ((len(self._coeffs) - 1) * m + 1)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable, Union
 
-from .poly import ONE, Polynomial, ZERO, _mul_add, _terms
+from .poly import ONE, Polynomial, ZERO, _mul_add, _require_int, _terms
 
 CoeffLike = Union[Polynomial, int]
 
@@ -36,8 +36,7 @@ class TruncatedSeries:
     __slots__ = ("_order", "_coeffs")
 
     def __init__(self, terms: Iterable[CoeffLike], order: int) -> None:
-        if order < 0:
-            raise ValueError(f"series order must be >= 0, got {order}")
+        _require_int(order, "series order", 0)
         coeffs = [_as_poly(t) for t in terms]
         if len(coeffs) > order + 1:
             raise ValueError(
@@ -120,10 +119,11 @@ class TruncatedSeries:
         return TruncatedSeries._trusted([Polynomial._trusted(c) for c in out], n)
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"series exponent must be a non-negative int, got {exponent!r}")
-        result = TruncatedSeries.one(self._order)
-        for _ in range(exponent):
+        _require_int(exponent, "series exponent", 0)
+        if not exponent:
+            return TruncatedSeries.one(self._order)
+        result = self
+        for _ in range(exponent - 1):
             result = result * self
         return result
 
@@ -165,8 +165,7 @@ class TruncatedSeries:
 
     def shifted(self, k: int) -> "TruncatedSeries":
         """Multiply by z**k, discarding what truncation pushes past the order."""
-        if k < 0:
-            raise ValueError(f"shift must be >= 0, got {k}")
+        _require_int(k, "shift", 0)
         kept = self._coeffs[: max(0, self._order + 1 - k)]
         return TruncatedSeries._trusted((ZERO,) * min(k, self._order + 1) + kept, self._order)
 

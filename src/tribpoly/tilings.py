@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, TypeVar
 
-from .poly import Polynomial
+from .poly import Polynomial, _require_int
 
 DEFAULT_CAP = 18
 
@@ -132,8 +132,7 @@ def _words(n: int, cls: type[_W], budget: int, cap: int) -> list[_W]:
     """
     if not isinstance(n, int) or not isinstance(budget, int):
         raise TypeError(f"tiling length and budget must be ints, got {n!r} and {budget!r}")
-    if n < 0:
-        raise ValueError(f"tiling length must be >= 0, got {n}")
+    _require_int(n, "tiling length", 0)
     if n > cap:
         raise EnumerationCapError(
             f"enumeration of length {n} exceeds the cap of {cap}; pass a larger cap explicitly"

@@ -21,7 +21,7 @@ import threading
 from itertools import zip_longest
 from typing import Iterable
 
-from .poly import ONE, Polynomial, ZERO
+from .poly import ONE, Polynomial, ZERO, _require_int
 
 _X_SQUARED = Polynomial((0, 0, 1))
 
@@ -57,10 +57,7 @@ _window: tuple[tuple[int, list[int], list[int], list[int]], ...] | None = None
 
 def tribonacci_number(n: int) -> int:
     """n-th tribonacci number: each term is the sum of the previous three."""
-    if n == -1:
-        return 0
-    if n < -1:
-        raise ValueError(f"tribonacci index must be >= -1, got {n}")
+    _require_int(n, "tribonacci index", -1)
     a, b, c = 0, 1, 1  # the numbers of index k, k + 1, k + 2, from k = 0
     for _ in range(n):
         a, b, c = b, c, a + b + c
@@ -118,10 +115,9 @@ def tribonacci_poly(n: int) -> Polynomial:
     global _window
     if 0 <= n < len(_polys):
         return _polys[n]
+    _require_int(n, "tribonacci index", -1)
     if n == -1:
         return ZERO
-    if n < -1:
-        raise ValueError(f"tribonacci index must be >= -1, got {n}")
     if n <= MEMO_BOUND:
         with _cache_lock:
             k = len(_polys) - 1
@@ -188,8 +184,7 @@ def tribonacci_poly_explicit(n: int) -> Polynomial:
     Independent of the recurrence on purpose: agreement of the two routes
     is one of the package's cross-checks.
     """
-    if n < 0:
-        raise ValueError(f"explicit form needs n >= 0, got {n}")
+    _require_int(n, "explicit form index", 0)
     return level_sum(n, [1] * (n // 2 + 1))
 
 
@@ -206,12 +201,10 @@ def _top_level(m: int, s: int) -> int:
     """The last level kept by the index-m incomplete member cut at level s:
     -1 (no level, the zero member) for s = -1, whatever m is; levels beyond
     floor((m-1)/2) are clamped."""
+    _require_int(s, "restriction level", -1)
     if s == -1:
         return -1
-    if s < -1:
-        raise ValueError(f"restriction level must be >= -1, got {s}")
-    if m < 1:
-        raise ValueError(f"incomplete family index must be >= 1, got {m}")
+    _require_int(m, "incomplete family index", 1)
     return min(s, (m - 1) // 2)
 
 
@@ -229,10 +222,8 @@ def incomplete_sum(terms: list[tuple[int, int, int, int]]) -> Polynomial:
     ``(c, e, m, s)`` terms, shifts e >= 0, as one triangle sum: level l of
     the index-m member is B(m-1-l, l)."""
     for c, e, _, _ in terms:
-        if not isinstance(c, int):
-            raise TypeError(f"incomplete_sum weights must be ints, got {type(c).__name__}")
-        if e < 0:
-            raise ValueError(f"incomplete_sum shifts must be >= 0, got {e}")
+        _require_int(c, "incomplete_sum weights")
+        _require_int(e, "incomplete_sum shifts", 0)
     return _triangle_sum(
         (m - 1 - l, l, c, e) for c, e, m, s in terms for l in range(_top_level(m, s) + 1)
     )
@@ -262,9 +253,7 @@ def overshoot_poly(n: int, s: int) -> Polynomial:
     incomplete ones; their generating series in z is
     z^2 * ((x + z) / (1 - x^2 z))^(s+1).
     """
-    if n < 0:
-        raise ValueError(f"overshoot index must be >= 0, got {n}")
-    if s < 0:
-        raise ValueError(f"overshoot level must be >= 0, got {s}")
+    _require_int(n, "overshoot index", 0)
+    _require_int(s, "overshoot level", 0)
     # remove the last longer piece: a domino (weight x) or a tromino (weight 1)
     return _triangle_sum([(n + s - 2, s, 1, 1), (n + s - 3, s, 1, 0)])

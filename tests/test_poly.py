@@ -71,6 +71,14 @@ def test_rejects_floats():
         Polynomial((1, 2)).times_monomial(0.5, 1)
 
 
+@pytest.mark.parametrize("c", [0, 1, -3, 2**70])
+def test_a_constant_hashes_as_the_int_it_equals(c):
+    constant = Polynomial((c,))
+    assert constant == c
+    assert hash(constant) == hash(c)
+    assert len({constant, c}) == 1
+
+
 def test_from_terms_validation():
     with pytest.raises(ValueError):
         Polynomial.from_terms({-1: 2})
