@@ -98,12 +98,21 @@ class Polynomial:
         live = {e: c for e, c in terms.items() if c != 0}
         if not live:
             return cls()
-        if min(live) < 0:
-            raise ValueError("polynomial exponents must be >= 0")
-        out = [0] * (max(live) + 1)
-        for e, c in live.items():
-            out[e] = c
-        return cls(out)
+        try:
+            if min(live) < 0:
+                raise ValueError(f"polynomial exponent must be >= 0, got {min(live)}")
+            out = [0] * (max(live) + 1)
+            for e, c in live.items():
+                out[e] = c
+        except (TypeError, ValueError) as exc:
+            refusal = exc
+        else:
+            return cls(out)
+        # only a refusal pays for a check per key: a key that is not an int
+        # is named, as at the other doors, before its sign is judged
+        for e in live:
+            _require_int(e, "polynomial exponent")
+        raise refusal
 
     @classmethod
     def from_coeff_strings(cls, strings: Sequence[str]) -> "Polynomial":

@@ -11,13 +11,17 @@ independent oracle of the closed formulas, so it is capped, and raising the
 cap is a deliberate, explicit act.  Each enumerator is one call of one
 depth-first walk, which owns the limits (length, cap, budget) and keeps the
 words with at most ``budget`` longer pieces; an exact count filters them.
+The walk lists the last few cells of every word from a table of tails that
+the call builds first, and each word gets its weight exponent once, when it
+is built.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, TypeVar
 
 from .poly import Polynomial, _require_int
@@ -38,6 +42,10 @@ _COLORED: _Model = ((BLACK, 1), (WHITE, 1), (COLORED_DOMINO, 2))
 
 _EXPANSION = {colored: plain for (colored, _), (plain, _) in zip(_COLORED, _PLAIN)}
 
+# The most words a table of tails may hold, over all its lengths: a bound
+# by count, not by length, because the colored model branches faster
+_TAIL_WORDS = 200
+
 
 class EnumerationCapError(RuntimeError):
     """Raised when an enumeration would exceed its length cap or the recursion limit."""
@@ -50,29 +58,41 @@ def _count(*ranks: int, doc: str | None = None) -> property:
     )
 
 
+def _weight(model: _Model, pieces: tuple[str, ...]) -> int:
+    """The weight exponent of a piece sequence: rank k counts 2 - k."""
+    (short, _), (middle, _), _ = model
+    return 2 * pieces.count(short) + pieces.count(middle)
+
+
 @dataclass(frozen=True, slots=True)
 class _Word:
-    """A piece sequence of one model; statistics are computed on demand."""
+    """A piece sequence of one model.  The weight exponent is stored, set
+    once from the pieces when the word is built; the other statistics are
+    counted on demand."""
 
     pieces: tuple[str, ...]
+    weight_exponent: int = field(init=False, compare=False, repr=False)
     _model = ()  # the subclass's piece table; not a field
 
     def __post_init__(self) -> None:
         # a string or a list of pieces is kept as the tuple it stands for
-        object.__setattr__(self, "pieces", tuple(self.pieces))
+        pieces = tuple(self.pieces)
+        object.__setattr__(self, "pieces", pieces)
         names = [piece for piece, _ in self._model]
-        for piece in self.pieces:
+        for piece in pieces:
             if piece not in names:
                 raise ValueError(
                     f"{type(self).__name__} has no piece {piece!r}; its pieces are {', '.join(names)}"
                 )
+        object.__setattr__(self, "weight_exponent", _weight(self._model, pieces))
 
     @classmethod
     def _trusted(cls: type[_W], pieces: tuple[str, ...]) -> _W:
         """Package-internal constructor for pieces drawn from the model's
         own table: nothing is checked.  Public input goes through ``__init__``."""
         word = object.__new__(cls)
-        object.__setattr__(word, "pieces", pieces)
+        _SET_PIECES(word, pieces)
+        _SET_WEIGHT(word, _weight(cls._model, pieces))
         return word
 
     @property
@@ -80,14 +100,13 @@ class _Word:
         lengths = dict(self._model)
         return sum(lengths[p] for p in self.pieces)
 
-    @property
-    def weight_exponent(self) -> int:
-        # rank 0 counts twice, rank 1 once, rank 2 not at all
-        (short, _), (middle, _), _ = self._model
-        return 2 * self.pieces.count(short) + self.pieces.count(middle)
-
     def word(self) -> str:
         return "".join(self.pieces)
+
+
+# the slots' own setters, which a frozen word's __setattr__ does not guard
+_SET_PIECES = _Word.pieces.__set__
+_SET_WEIGHT = _Word.weight_exponent.__set__
 
 
 class Tiling(_Word):
@@ -120,15 +139,65 @@ _W = TypeVar("_W", bound=_Word)
 # enumeration; table order (r < d < t, B < W < D) makes it lexicographic
 
 
+def _tail_length(model: _Model) -> int:
+    """The longest tail whose words, over every length up to it, number at
+    most ``_TAIL_WORDS``: 8 cells for the plain model, 5 for the colored."""
+    counts = [1]  # words of each length, from 0
+    while sum(counts) <= _TAIL_WORDS:
+        m = len(counts)
+        counts.append(sum(counts[m - size] for _, size in model if size <= m))
+    return len(counts) - 2
+
+
+_TAIL = {model: _tail_length(model) for model in (_PLAIN, _COLORED)}
+
+
+_Tails = list[list[list[tuple[tuple[str, ...], int]]]]
+
+
+def _reach(table: _Tails, m: int, j: int) -> list[tuple[tuple[str, ...], int]]:
+    """The tails of m cells with at most j longer pieces: a budget past the
+    last column of m reads the last column."""
+    columns = table[m]
+    return columns[min(j, len(columns) - 1)]
+
+
+def _tails(model: _Model, length: int, budget: int) -> _Tails:
+    """``table[m][j]``: each word of m cells with at most j longer pieces, as
+    ``(pieces, weight exponent)`` in word order, for m <= ``length``.
+
+    Column j runs to the fewer of ``budget`` and the most longer pieces
+    that fit m cells, so the table of a budget past those is no larger.
+    """
+    (short, _), *longer = model
+    step = min(size for _, size in longer)  # the most longer pieces in m cells is m // step
+    table: _Tails = [[[((), 0)]]]
+    for m in range(1, length + 1):
+        columns = []
+        for j in range(min(budget, m // step) + 1):
+            column = [((short,) + p, w + 2) for p, w in _reach(table, m - 1, j)]
+            if j:
+                for rank, (piece, size) in enumerate(longer, 1):
+                    if size <= m:
+                        tails = _reach(table, m - size, j - 1)
+                        column += [((piece,) + p, w + 2 - rank) for p, w in tails]
+            columns.append(column)
+        table.append(columns)
+    return table
+
+
 def _words(n: int, cls: type[_W], budget: int, cap: int) -> list[_W]:
     """Words of ``cls``'s model of length n with at most ``budget`` longer
     pieces.  The walk owns the limits, in order: a length or budget that is
     not an int is a TypeError, a negative length a ValueError, a length past
     ``cap`` an EnumerationCapError, and a negative budget gives no words.
 
-    One depth-first walk over a shared path builds each word once, at its
-    leaf.  It has one rule, at most ``budget`` longer pieces; an exact count
-    of them is a filter of the words it returns.
+    One depth-first walk over a shared path lays down the pieces of each
+    word until the cells left fit the table of tails (``_TAIL``); there it
+    joins the path to every tail that the budget left admits, and sets each
+    word's weight from the path's and the tail's.  It has one rule, at most
+    ``budget`` longer pieces; an exact count of them is a filter of the
+    words it returns.
     """
     if not isinstance(n, int) or not isinstance(budget, int):
         raise TypeError(f"tiling length and budget must be ints, got {n!r} and {budget!r}")
@@ -137,33 +206,43 @@ def _words(n: int, cls: type[_W], budget: int, cap: int) -> list[_W]:
         raise EnumerationCapError(
             f"enumeration of length {n} exceeds the cap of {cap}; pass a larger cap explicitly"
         )
-    (short, _), *longer = cls._model
-    make = cls._trusted
-    path: list[str] = []
     out: list[_W] = []
+    if budget < 0:
+        return out
+    model = cls._model
+    tail = min(n, _TAIL[model])
+    table = _tails(model, tail, budget)
+    short = model[0][0]
+    longer = [(piece, size, 2 - rank) for rank, (piece, size) in enumerate(model) if rank]
+    new, append = object.__new__, out.append
+    path: list[str] = []
 
-    def walk(room: int, left: int) -> None:
-        if not room:
-            out.append(make(tuple(path)))
+    def walk(room: int, left: int, weight: int) -> None:
+        if room <= tail:
+            prefix = tuple(path)
+            for pieces, w in _reach(table, room, left):
+                word = new(cls)
+                _SET_PIECES(word, prefix + pieces)
+                _SET_WEIGHT(word, weight + w)
+                append(word)
             return
         path.append(short)
-        walk(room - 1, left)
+        walk(room - 1, left, weight + 2)
         path.pop()
         if left:
-            for piece, size in longer:
+            for piece, size, w in longer:
                 if size <= room:
                     path.append(piece)
-                    walk(room - size, left - 1)
+                    walk(room - size, left - 1, weight + w)
                     path.pop()
 
-    if budget >= 0:
-        try:
-            walk(n, budget)
-        except RecursionError:  # a frame per piece; the first word walked has the most
-            limit = sys.getrecursionlimit()
-            raise EnumerationCapError(
-                f"enumeration of length {n} is deeper than the recursion limit of {limit}"
-            ) from None
+    try:
+        walk(n, budget, 0)
+    except RecursionError:  # a frame per piece outside the tail; the first word has the most
+        limit = sys.getrecursionlimit()
+        raise EnumerationCapError(
+            f"enumeration of length {n} is deeper than the recursion limit of {limit}"
+        ) from None
     # walk's closure holds walk itself, and out; deleting the name breaks
     # that cycle, so the words die with the caller's last reference and
     # not at the next full collection
@@ -183,7 +262,7 @@ def enumerate_restricted(n: int, max_longer: int, *, cap: int = DEFAULT_CAP) -> 
 
 def weight_distribution(tilings: Iterable[Tiling | ColoredTiling]) -> Polynomial:
     """Sum of x**weight_exponent over the given tilings, plain or colored."""
-    counts = Counter(t.weight_exponent for t in tilings)
+    counts = Counter(map(attrgetter("weight_exponent"), tilings))
     return Polynomial.from_terms(counts)
 
 
@@ -197,7 +276,8 @@ def expand_colored(tiling: ColoredTiling) -> Tiling:
 
     Sends a colored tiling of length n - i with budget i to a plain tiling
     of length n with exactly i longer pieces, preserving the weight
-    exponent piece by piece.
+    exponent piece by piece; the image's weight is counted from its own
+    pieces, not copied from the source's.
     """
     if not isinstance(tiling, ColoredTiling):
         raise TypeError(f"expand_colored takes a ColoredTiling, got {type(tiling).__name__}")

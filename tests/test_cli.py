@@ -189,7 +189,7 @@ def test_enumerate_leaves_the_cap_to_the_enumerator(capsys, monkeypatch):
 
 
 def test_enumerate_deeper_than_the_recursion_limit_is_a_usage_error(capsys):
-    # one word of 1,200 squares: the walk takes a frame per piece
+    # one word of 1,200 squares: the walk takes a frame per piece outside its tail
     code, out, err = run_cli(capsys, "enumerate", "1200", "--max-longer", "0", "--cap", "1200")
     assert code == 2
     assert out == ""

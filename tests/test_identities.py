@@ -319,6 +319,12 @@ def test_thm1_cap_defaults_on_the_check():
     assert report.passed
 
 
+def test_thm1_holds_up_to_the_cap():
+    # every n from 15 to the default cap of 18, at every level the grid takes
+    reports = run_grid(GridConfig(n_range=(15, 18)), ["THM1"])
+    assert summarize(reports) == {"passed": 36, "failed": 0, "filtered": 0, "resource_limited": 0}
+
+
 def test_run_grid_is_deterministic():
     config = GridConfig(n_range=(1, 6), s_range=(0, 1), h_range=(1, 2), series_order=6)
     first = run_grid(config)

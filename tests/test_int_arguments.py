@@ -9,6 +9,7 @@ import pytest
 
 from tribpoly import tribonacci as trib
 from tribpoly import (
+    Polynomial,
     TruncatedSeries,
     X,
     closed_form_generating_series,
@@ -28,6 +29,11 @@ _not_int = "{} must be an int, got float".format
 # door: (a call of the one argument, the TypeError a float gives, and a value
 # below the argument's bound with the ValueError it gives, or None for no bound)
 DOORS = {
+    "from_terms exponent": (
+        lambda v: Polynomial.from_terms({v: 1}),
+        _not_int("polynomial exponent"),
+        (-1, "polynomial exponent must be >= 0, got -1"),
+    ),
     "times_monomial exponent": (
         lambda v: X.times_monomial(1, v),
         _not_int("monomial exponent"),

@@ -5,6 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tribpoly import ONE, Polynomial, X, ZERO
+from tribpoly import poly
 from tribpoly.poly import _product_sum
 
 polys = st.lists(st.integers(min_value=-9, max_value=9), max_size=6).map(Polynomial)
@@ -84,6 +85,30 @@ def test_from_terms_validation():
         Polynomial.from_terms({-1: 2})
     # zero coefficients on negative exponents are simply dropped
     assert Polynomial.from_terms({-3: 0, 2: 1}) == Polynomial((0, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "terms, kind",
+    [
+        ({1.5: 2}, "float"),
+        ({0: 1, 1.5: 2}, "float"),
+        ({2: 1, 1.5: 2}, "float"),
+        ({-1.5: 2}, "float"),
+        ({"2": 1}, "str"),
+    ],
+)
+def test_from_terms_names_an_exponent_that_is_not_an_int(terms, kind):
+    # the type is judged before the sign, as at every integer argument
+    with pytest.raises(TypeError, match=f"^polynomial exponent must be an int, got {kind}$"):
+        Polynomial.from_terms(terms)
+
+
+def test_from_terms_checks_no_key_on_its_normal_path(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a key was checked")
+
+    monkeypatch.setattr(poly, "_require_int", refuse)
+    assert Polynomial.from_terms({7: 4, 4: 3, 0: 0}) == Polynomial((0, 0, 0, 0, 3, 0, 0, 4))
 
 
 def test_rendering():

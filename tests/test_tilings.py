@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import sys
 from collections import Counter
 
 import pytest
@@ -24,6 +25,7 @@ from tribpoly import (
     tribonacci_poly,
     weight_distribution,
 )
+from tribpoly import tilings
 
 _RANK = {"r": 0, "d": 1, "t": 2}
 
@@ -33,6 +35,7 @@ _RANK = {"r": 0, "d": 1, "t": 2}
 _SIZES = {Tiling: {"r": 1, "d": 2, "t": 3}, ColoredTiling: {"B": 1, "W": 1, "D": 2}}
 _SQUARES = ("r", "B")
 _PLAIN_WEIGHT = {"r": 2, "d": 1, "t": 0}
+_COLORED_WEIGHT = {"B": 2, "W": 1, "D": 0}
 _REFERENCE_MAX = 10
 
 
@@ -230,6 +233,52 @@ def test_expansion_is_a_bijection():
                 assert image.length == n
 
 
+def _own_weight(word):
+    weights = _PLAIN_WEIGHT if type(word) is Tiling else _COLORED_WEIGHT
+    return sum(weights[p] for p in word.pieces)
+
+
+def test_each_word_weighs_its_own_pieces():
+    # a word's weight is stored once, when it is built, by every way of
+    # building one; each must count it from the word's own pieces
+    for n in range(_REFERENCE_MAX + 1):
+        for budget in range(n + 2):  # n + 1 is past every column of the tails
+            for cls in (Tiling, ColoredTiling):
+                for word in tilings._words(n, cls, budget, n):
+                    rebuilt = (cls(word.pieces), cls(list(word.pieces)), cls._trusted(word.pieces))
+                    for w in (word, *rebuilt):
+                        assert w.weight_exponent == _own_weight(w), w
+        public = enumerate_tilings(n) + [
+            w for i in range(n + 1) for w in enumerate_restricted(n, i) + enumerate_colored(n, i)
+        ]
+        for word in public:
+            assert word.weight_exponent == _own_weight(word), word
+            if type(word) is ColoredTiling:
+                image = expand_colored(word)
+                assert image.weight_exponent == _own_weight(image), image
+
+
+def test_expansion_weighs_the_image_not_the_source():
+    # copying the source's weight would make the weight check of
+    # test_expansion_is_a_bijection true whatever the image's pieces are
+    source = ColoredTiling("DWB")
+    object.__setattr__(source, "weight_exponent", -1)
+    image = expand_colored(source)
+    assert image.word() == "tdr" and image.weight_exponent == 3
+
+
+def test_the_stored_weight_is_not_compared_or_shown():
+    word = Tiling("rd")
+    twin = Tiling("rd")
+    object.__setattr__(twin, "weight_exponent", -1)
+    assert word == twin and hash(word) == hash(twin)
+    assert repr(word) == "Tiling(pieces=('r', 'd'))"
+    with pytest.raises(TypeError):
+        Tiling(("r",), 2)  # not a constructor argument
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        word.weight_exponent = 0
+
+
 def test_exact_longer_distribution():
     assert exact_longer_distribution(5, 1) == Polynomial.from_terms({7: 4, 4: 3})
     assert exact_longer_distribution(4, 0) == Polynomial.from_terms({8: 1})
@@ -274,6 +323,31 @@ def test_enumerators_match_the_product_reference():
             assert _pieces(enumerate_colored(n, i), ColoredTiling) == expected
             exact = _reference(Tiling, n, lambda k: k == i)
             assert exact_longer_distribution(n, i) == _reference_weight(exact)
+
+
+def test_the_reference_reaches_past_the_table_of_tails():
+    # the walk lays down pieces until the cells left fit the table of tails;
+    # the reference above must reach lengths that cross from one to the other
+    for cls in (Tiling, ColoredTiling):
+        assert _REFERENCE_MAX > tilings._TAIL[cls._model] + 1
+
+
+def test_a_large_budget_builds_no_larger_table_of_tails():
+    # a column per count of longer pieces that fits the tail, whatever the budget
+    for model in (tilings._PLAIN, tilings._COLORED):
+        tail = tilings._TAIL[model]
+        assert tilings._tails(model, tail, 1200) == tilings._tails(model, tail, tail)
+
+
+def test_a_walk_deeper_than_the_recursion_limit_is_a_cap_error():
+    # the first word walked is all squares, a frame per piece outside the tail
+    limit = sys.getrecursionlimit()
+    deep = f"^enumeration of length 1200 is deeper than the recursion limit of {limit}$"
+    for budget in (0, 1200):
+        with pytest.raises(EnumerationCapError, match=deep):
+            enumerate_restricted(1200, budget, cap=1200)
+    with pytest.raises(EnumerationCapError, match=deep):
+        enumerate_tilings(1200, cap=1200)
 
 
 def test_overshoot_matches_the_product_reference():
