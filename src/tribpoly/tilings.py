@@ -11,9 +11,9 @@ independent oracle of the closed formulas, so it is capped, and raising the
 cap is a deliberate, explicit act.  Each enumerator is one call of one
 depth-first walk, which owns the limits (length, cap, budget) and keeps the
 words with at most ``budget`` longer pieces; an exact count filters them.
-The walk lists the last few cells of every word from a table of tails that
-the call builds first, and each word gets its weight exponent once, when it
-is built.
+The walk lists the last few cells of every word from a table of tails,
+built once per model, at import, and each word gets its weight exponent
+once, when it is built.
 """
 
 from __future__ import annotations
@@ -139,19 +139,6 @@ _W = TypeVar("_W", bound=_Word)
 # enumeration; table order (r < d < t, B < W < D) makes it lexicographic
 
 
-def _tail_length(model: _Model) -> int:
-    """The longest tail whose words, over every length up to it, number at
-    most ``_TAIL_WORDS``: 8 cells for the plain model, 5 for the colored."""
-    counts = [1]  # words of each length, from 0
-    while sum(counts) <= _TAIL_WORDS:
-        m = len(counts)
-        counts.append(sum(counts[m - size] for _, size in model if size <= m))
-    return len(counts) - 2
-
-
-_TAIL = {model: _tail_length(model) for model in (_PLAIN, _COLORED)}
-
-
 _Tails = list[list[list[tuple[tuple[str, ...], int]]]]
 
 
@@ -162,19 +149,20 @@ def _reach(table: _Tails, m: int, j: int) -> list[tuple[tuple[str, ...], int]]:
     return columns[min(j, len(columns) - 1)]
 
 
-def _tails(model: _Model, length: int, budget: int) -> _Tails:
+def _tails(model: _Model) -> _Tails:
     """``table[m][j]``: each word of m cells with at most j longer pieces, as
-    ``(pieces, weight exponent)`` in word order, for m <= ``length``.
-
-    Column j runs to the fewer of ``budget`` and the most longer pieces
-    that fit m cells, so the table of a budget past those is no larger.
-    """
+    ``(pieces, weight exponent)`` in word order.  Column j runs to the most
+    longer pieces that fit m cells, and the table grows while its words, over
+    every length, number at most ``_TAIL_WORDS``: 8 cells for the plain
+    model, 5 for the colored."""
     (short, _), *longer = model
     step = min(size for _, size in longer)  # the most longer pieces in m cells is m // step
     table: _Tails = [[[((), 0)]]]
-    for m in range(1, length + 1):
+    words = 1
+    while True:
+        m = len(table)
         columns = []
-        for j in range(min(budget, m // step) + 1):
+        for j in range(m // step + 1):
             column = [((short,) + p, w + 2) for p, w in _reach(table, m - 1, j)]
             if j:
                 for rank, (piece, size) in enumerate(longer, 1):
@@ -182,8 +170,13 @@ def _tails(model: _Model, length: int, budget: int) -> _Tails:
                         tails = _reach(table, m - size, j - 1)
                         column += [((piece,) + p, w + 2 - rank) for p, w in tails]
             columns.append(column)
+        words += len(columns[-1])  # the last column holds every word of m cells
+        if words > _TAIL_WORDS:
+            return table
         table.append(columns)
-    return table
+
+
+_TAILS = {model: _tails(model) for model in (_PLAIN, _COLORED)}
 
 
 def _words(n: int, cls: type[_W], budget: int, cap: int) -> list[_W]:
@@ -193,7 +186,7 @@ def _words(n: int, cls: type[_W], budget: int, cap: int) -> list[_W]:
     ``cap`` an EnumerationCapError, and a negative budget gives no words.
 
     One depth-first walk over a shared path lays down the pieces of each
-    word until the cells left fit the table of tails (``_TAIL``); there it
+    word until the cells left fit its model's table of tails; there it
     joins the path to every tail that the budget left admits, and sets each
     word's weight from the path's and the tail's.  It has one rule, at most
     ``budget`` longer pieces; an exact count of them is a filter of the
@@ -210,8 +203,8 @@ def _words(n: int, cls: type[_W], budget: int, cap: int) -> list[_W]:
     if budget < 0:
         return out
     model = cls._model
-    tail = min(n, _TAIL[model])
-    table = _tails(model, tail, budget)
+    table = _TAILS[model]
+    tail = len(table) - 1
     short = model[0][0]
     longer = [(piece, size, 2 - rank) for rank, (piece, size) in enumerate(model) if rank]
     new, append = object.__new__, out.append

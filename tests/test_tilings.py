@@ -329,14 +329,15 @@ def test_the_reference_reaches_past_the_table_of_tails():
     # the walk lays down pieces until the cells left fit the table of tails;
     # the reference above must reach lengths that cross from one to the other
     for cls in (Tiling, ColoredTiling):
-        assert _REFERENCE_MAX > tilings._TAIL[cls._model] + 1
+        assert _REFERENCE_MAX > len(tilings._TAILS[cls._model])
 
 
-def test_a_large_budget_builds_no_larger_table_of_tails():
-    # a column per count of longer pieces that fits the tail, whatever the budget
-    for model in (tilings._PLAIN, tilings._COLORED):
-        tail = tilings._TAIL[model]
-        assert tilings._tails(model, tail, 1200) == tilings._tails(model, tail, tail)
+def test_each_model_builds_its_table_of_tails_once(monkeypatch):
+    # the tables are built at import; an enumeration only reads them
+    assert [len(tilings._TAILS[cls._model]) - 1 for cls in (Tiling, ColoredTiling)] == [8, 5]
+    monkeypatch.delattr(tilings, "_tails")  # a call to build one would fail
+    assert len(enumerate_tilings(12)) == 927  # the tribonacci number T(13)
+    assert sum(len(enumerate_colored(12, i)) for i in range(13)) == 33461  # Pell P(13)
 
 
 def test_a_walk_deeper_than_the_recursion_limit_is_a_cap_error():
