@@ -11,24 +11,28 @@ Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 a subcommand raises, before any output, becomes one ``error:`` line on
 stderr.  Results go to stdout.  A stdout closed before all output is
 written (``tribpoly verify all | head``) exits 1 quietly.
+
+Only ``poly`` and ``tribonacci`` load with this module.  ``identities``,
+``tilings``, ``csv`` and ``dataclasses`` load in the commands that use
+them, and the parser reads the identity ids and the enumeration cap only
+when it shows or checks them, so ``compute`` starts without them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
-import inspect
 import itertools
 import json
 import os
 import sys
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from . import identities, tilings
 from . import tribonacci as trib
 from .poly import Polynomial
-from .series import TruncatedSeries
+
+if TYPE_CHECKING:
+    from . import identities
+    from .series import TruncatedSeries
 
 FAMILIES = {
     "trib-number": trib.tribonacci_number,
@@ -39,6 +43,48 @@ FAMILIES = {
     "fib-incomplete": trib.incomplete_fibonacci_poly,
     "r-poly": trib.overshoot_poly,
 }
+
+
+class _Deferred:
+    """A choice list or help value that argparse reads through ``read()``
+    only when it shows or checks it, so that building the parser imports
+    no command's modules."""
+
+    def __init__(self, read: Callable[[], object]) -> None:
+        self.read = read
+
+    def __iter__(self) -> Iterator:
+        return iter(self.read())
+
+    def __str__(self) -> str:
+        return str(self.read())
+
+
+def _identity_choices() -> tuple[str, ...]:
+    from .identities import ALL_IDENTITY_IDS
+
+    return ("ALL", *ALL_IDENTITY_IDS)
+
+
+def _library_cap() -> int:
+    from .tilings import DEFAULT_CAP
+
+    return DEFAULT_CAP
+
+
+def _usage_errors() -> tuple[type[Exception], ...]:
+    """What ``main`` turns into exit 2; read only once something is raised."""
+    from .tilings import EnumerationCapError
+
+    return (ValueError, OverflowError, MemoryError, EnumerationCapError)
+
+
+def _arity(function: Callable) -> int:
+    """How many indices ``function`` takes, read through any wrapper that
+    sets ``__wrapped__`` (``functools.wraps`` does) to the function itself."""
+    while hasattr(function, "__wrapped__"):
+        function = function.__wrapped__
+    return function.__code__.co_argcount
 
 
 def _range_arg(text: str) -> tuple[int, int]:
@@ -75,11 +121,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: text)",
     )
     capped = argparse.ArgumentParser(add_help=False, parents=[formatted])
-    capped.add_argument(
+    cap = capped.add_argument(
         "--cap",
         type=int,
-        help=f"enumeration cap; unset, the library's own applies (default: {tilings.DEFAULT_CAP})",
+        help="enumeration cap; unset, the library's own applies (default: %(library_cap)s)",
     )
+    cap.library_cap = _Deferred(_library_cap)  # argparse fills %(...)s from the action
 
     parser = argparse.ArgumentParser(
         prog="tribpoly",
@@ -104,12 +151,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify", parents=[capped], help="check identities over a parameter grid"
     )
-    p.add_argument(
-        "identity",
-        type=str.upper,
-        choices=("ALL",) + identities.ALL_IDENTITY_IDS,
-        help="identity id, or 'all' for the whole catalog",
+    identity = p.add_argument(
+        "identity", type=str.upper, help="identity id, or 'all' for the whole catalog"
     )
+    # set after add_argument, which would read a choice list to check its metavar
+    identity.choices = _Deferred(_identity_choices)
     p.add_argument("--n", type=_range_arg, dest="n_range", metavar="A..B", help="n range a..b")
     p.add_argument("--s", type=_range_arg, dest="s_range", metavar="A..B", help="s range a..b")
     p.add_argument("--h", type=_range_arg, dest="h_range", metavar="A..B", help="h range a..b")
@@ -141,6 +187,8 @@ def _write(fmt: str, lines: Iterable, doc: Callable, header: Sequence, rows: Ite
     elif fmt == "json":
         print(json.dumps(doc(), indent=2))
     else:
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -148,7 +196,7 @@ def _write(fmt: str, lines: Iterable, doc: Callable, header: Sequence, rows: Ite
 
 def _cmd_compute(args: argparse.Namespace) -> int:
     function = FAMILIES[args.family]
-    arity = len(inspect.signature(function).parameters)
+    arity = _arity(function)
     if len(args.indices) != arity:
         raise ValueError(
             f"family '{args.family}' expects {arity} index argument(s), got {len(args.indices)}"
@@ -166,6 +214,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    from . import tilings
+
     max_longer = args.n if args.max_longer is None else args.max_longer
     options = {} if args.cap is None else {"cap": args.cap}
     members = tilings.enumerate_restricted(args.n, max_longer, **options)
@@ -189,12 +239,18 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _enumerate_lines(words: list[str], members: Sequence) -> Iterator[str]:
     """The text view of an enumeration: each tiling, the count, then the
     weight distribution, which only this view and the JSON one show."""
+    from . import tilings
+
     yield from words
     yield f"count: {len(words)}"
     yield f"weight: {tilings.weight_distribution(members)}"
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    import dataclasses
+
+    from . import identities
+
     fields = dataclasses.fields(identities.GridConfig)
     config = identities.GridConfig(**{f.name: getattr(args, f.name) for f in fields})
     reports = identities.run_grid(config, None if args.identity == "ALL" else [args.identity])
@@ -222,14 +278,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _value_doc(value: int | Polynomial | TruncatedSeries) -> dict:
     """The JSON view of an int, its ``value`` string, of a polynomial, its ``coeffs``
     strings, or of a series, its ``order`` and the view of each z-coefficient in ``z_coeffs``."""
-    if isinstance(value, TruncatedSeries):
-        return {"order": value.order, "z_coeffs": [_value_doc(c) for c in value.coeffs]}
-    poly = isinstance(value, Polynomial)
-    return {"coeffs": value.to_coeff_strings()} if poly else {"value": str(value)}
+    if isinstance(value, int):
+        return {"value": str(value)}
+    if isinstance(value, Polynomial):
+        return {"coeffs": value.to_coeff_strings()}
+    return {"order": value.order, "z_coeffs": [_value_doc(c) for c in value.coeffs]}
 
 
 def _report_doc(r: identities.IdentityReport) -> dict:
     """The JSON view of one report; a failed point adds its two sides as data."""
+    from . import identities
+
     failed = r.status == identities.FAILED
     sides = {"lhs": _value_doc(r.lhs), "rhs": _value_doc(r.rhs)} if failed else {}
     return {
@@ -245,6 +304,8 @@ def _report_doc(r: identities.IdentityReport) -> dict:
 def _verify_lines(reports: Sequence[identities.IdentityReport], ok: bool) -> Iterator[str]:
     """The text view of a verify run: each identity's status counts, each
     failed point with its two sides, then the verdict."""
+    from . import identities
+
     for identity_id, group in itertools.groupby(reports, key=lambda r: r.identity_id):
         counts = identities.summarize(list(group)).items()
         yield f"{identity_id}: " + ", ".join(f"{n} {s.replace('_', '-')}" for s, n in counts)
@@ -260,6 +321,8 @@ def _cmd_gf(args: argparse.Namespace) -> int:
         raise ValueError(
             f"order {args.order} is below the series offset {2 * args.s + 1}; nothing to show"
         )
+    from . import identities
+
     series = identities.closed_form_generating_series(args.s, args.order, x1=args.x1)
     _write(
         args.format,
@@ -282,7 +345,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
-    except (ValueError, OverflowError, MemoryError, tilings.EnumerationCapError) as exc:
+    except _usage_errors() as exc:
         # str(MemoryError()) is empty
         print(f"error: {str(exc) or 'the result is too large to hold in memory'}", file=sys.stderr)
         return 2

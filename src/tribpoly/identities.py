@@ -319,13 +319,28 @@ def closed_form_generating_series(s: int, order: int, *, x1: bool = False) -> Tr
 
 @_identity("THM2", lambda s, order: s >= 0 and order >= 2 * s + 1, s=(0, 4), order=25)
 def verify_thm2(s: int, order: int):
-    """Symbolic generating function: closed rational form against the direct sum."""
+    """Symbolic generating function: closed rational form against the direct sum.
+
+    A check at order >= 3s + 4 proves the identity at every order.  Let
+    E = (1 - x^2 z)^(s+1) D.  E times the closed form is
+    z^(2s+1) ((1 - x^2 z)^(s+1) head - z^2 (x + z)^(s+1)), a polynomial in z
+    of degree <= 3s + 4.  The direct side sums columns l <= s of the triangle
+    from index 2s + 1 on; column l has the generating function
+    z (x z^2 + z^3)^l / (1 - x^2 z)^(l+1) (the transfer-matrix method), so E
+    times the direct side is a polynomial of degree <= 3s + 4 too.  E has
+    constant term 1, so two such products that agree through z^(3s+4) are
+    equal, and so are the two series.  The default order 25 decides s <= 7.
+    """
     return direct_generating_series(s, order), closed_form_generating_series(s, order)
 
 
 @_identity("COR2", lambda s, order: s >= 0 and order >= 2 * s + 1, s=(0, 4), order=25)
 def verify_cor2(s: int, order: int):
-    """Numeric generating function: the closed form at x = 1 against the direct sum."""
+    """Numeric generating function: the closed form at x = 1 against the direct sum.
+
+    ``verify_thm2``'s argument holds at x = 1 as it stands, so a check at
+    order >= 3s + 4 proves the identity at every order here too.
+    """
     direct = direct_generating_series(s, order, x1=True)
     return direct, closed_form_generating_series(s, order, x1=True)
 

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import inspect
 import io
 import json
@@ -158,6 +159,22 @@ def test_compute_arity_error(capsys):
     assert code == 2
     assert out == ""
     assert "expects 1 index argument(s)" in err
+
+
+def test_compute_arity_is_read_through_a_wrapper(capsys, monkeypatch):
+    # a tracer that wraps each family keeps the arity check working
+    real = cli.FAMILIES["incomplete-poly"]
+
+    @functools.wraps(real)
+    def traced(*args):
+        return real(*args)
+
+    monkeypatch.setitem(cli.FAMILIES, "incomplete-poly", traced)
+    code, out, err = run_cli(capsys, "compute", "incomplete-poly", "4")
+    assert (code, out) == (2, "")
+    assert err == "error: family 'incomplete-poly' expects 2 index argument(s), got 1\n"
+    want = f"{trib.incomplete_tribonacci_poly(4, 1)}\n"
+    assert run_cli(capsys, "compute", "incomplete-poly", "4", "1") == (0, want, "")
 
 
 def test_compute_unknown_family_is_usage_error(capsys):
@@ -606,6 +623,80 @@ def test_a_far_member_keeps_peak_memory_small():
     # the walked member at x = 1 is the tribonacci number
     assert sum(map(int, payload["coeffs"])) == trib.tribonacci_number(1400)
     assert int(proc.stderr) / 1024 < 48
+
+
+# ----------------------------------------------------------------------
+# start-up: a command loads only the modules it uses
+
+# modules that ``compute`` never uses, so that it must not load
+_UNUSED_BY_COMPUTE = (
+    "tribpoly.identities",
+    "tribpoly.tilings",
+    "tribpoly.series",
+    "dataclasses",
+    "inspect",
+    "csv",
+)
+
+# The child runs one command line, then names on stderr each module of
+# _UNUSED_BY_COMPUTE that it loaded.
+_REPORT_LOADED = (
+    "import sys\n"
+    "from tribpoly import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    f"print(*(m for m in {_UNUSED_BY_COMPUTE!r} if m in sys.modules), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def _run_fresh(command):
+    """Exit code, stdout and loaded modules of one command in a new interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _REPORT_LOADED, *command.split()],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr.split()
+
+
+@pytest.mark.parametrize(
+    "command", ["compute incomplete-poly 30 5 --format json", "compute trib-number 10"]
+)
+def test_compute_loads_no_module_it_does_not_use(capsys, command):
+    code, out, loaded = _run_fresh(command)
+    assert loaded == [], f"{command} loaded {', '.join(loaded)}"
+    assert (code, out) == run_cli(capsys, *command.split())[:2]
+
+
+def test_import_tribpoly_loads_no_submodule():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, tribpoly\nprint(*(m for m in sys.modules if m.startswith('tribpoly.')))",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [], f"import tribpoly loaded {proc.stdout.strip()}"
+
+
+@pytest.mark.parametrize(
+    "command, output",
+    [
+        (
+            "verify eq4 --n 1..3",
+            "EQ4: 4 passed, 0 failed, 11 filtered, 0 resource-limited\noverall: PASS\n",
+        ),
+        ("enumerate 4", "rrrr\nrrd\nrdr\nrt\ndrr\ndd\ntr\ncount: 7\nweight: x^8 + 3*x^5 + 3*x^2\n"),
+    ],
+)
+def test_other_commands_load_what_they_use(command, output):
+    code, out, _ = _run_fresh(command)
+    assert (code, out) == (0, output)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """CLI output pinned byte for byte, apart from elapsed_ms: each command's
 stdout, with the elapsed_ms JSON lines and CSV column dropped, hashes to
 the recorded prefix.  GOLDEN covers every subcommand in every format;
-FAILING_VERIFY pins a verify that fails, in every format."""
+FAILING_VERIFY pins a verify that fails, in every format.  HELP and
+USAGE_ERRORS pin argparse's own text in full."""
 
 import hashlib
 import re
@@ -79,6 +80,122 @@ def test_failing_verify_output_is_pinned(capsys, monkeypatch, fmt):
     assert err == ""
     digest = hashlib.sha256(_without_elapsed(out).encode()).hexdigest()
     assert digest.startswith(FAILING_VERIFY[fmt])
+
+
+# argparse's own text, byte for byte at COLUMNS=80: each --help on stdout,
+# and each usage error on stderr.  The usage lines show every choice list,
+# so a list read late or from elsewhere shows here first.
+HELP = {
+    "--help": """\
+usage: tribpoly [-h] {compute,enumerate,verify,gf} ...
+
+Exact tribonacci-polynomial toolkit: compute, enumerate, expand, verify.
+
+positional arguments:
+  {compute,enumerate,verify,gf}
+    compute             evaluate one family member
+    enumerate           list tilings and their weight distribution
+    verify              check identities over a parameter grid
+    gf                  expand a restriction-level generating function
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "compute --help": """\
+usage: tribpoly compute [-h] [--format {text,json,csv}]
+                        {b-poly,fib-incomplete,incomplete-number,incomplete-poly,r-poly,trib-number,trib-poly}
+                        indices [indices ...]
+
+positional arguments:
+  {b-poly,fib-incomplete,incomplete-number,incomplete-poly,r-poly,trib-number,trib-poly}
+  indices
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json,csv}
+                        output format (default: text)
+""",
+    "enumerate --help": """\
+usage: tribpoly enumerate [-h] [--format {text,json,csv}] [--cap CAP]
+                          [--max-longer MAX_LONGER]
+                          n
+
+positional arguments:
+  n
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json,csv}
+                        output format (default: text)
+  --cap CAP             enumeration cap; unset, the library's own applies
+                        (default: 18)
+  --max-longer MAX_LONGER
+                        keep only tilings with at most this many
+                        dominos/trominos
+""",
+    "verify --help": """\
+usage: tribpoly verify [-h] [--format {text,json,csv}] [--cap CAP] [--n A..B]
+                       [--s A..B] [--h A..B] [--order ORDER]
+                       {ALL,EQ4,ID1,ID2,ID3,REMARK_A,ID4,ID5,ID6,EQ12,EQ13,THM1,THM2,COR2}
+
+positional arguments:
+  {ALL,EQ4,ID1,ID2,ID3,REMARK_A,ID4,ID5,ID6,EQ12,EQ13,THM1,THM2,COR2}
+                        identity id, or 'all' for the whole catalog
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json,csv}
+                        output format (default: text)
+  --cap CAP             enumeration cap; unset, the library's own applies
+                        (default: 18)
+  --n A..B              n range a..b
+  --s A..B              s range a..b
+  --h A..B              h range a..b
+  --order ORDER         series order of THM2/COR2/REMARK_A
+""",
+    "gf --help": """\
+usage: tribpoly gf [-h] [--format {text,json,csv}] --s S --order ORDER [--x1]
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json,csv}
+                        output format (default: text)
+  --s S                 restriction level
+  --order ORDER         series truncation order
+  --x1                  evaluate coefficients at x = 1
+""",
+}
+
+USAGE_ERRORS = {
+    "verify xx": """\
+usage: tribpoly verify [-h] [--format {text,json,csv}] [--cap CAP] [--n A..B]
+                       [--s A..B] [--h A..B] [--order ORDER]
+                       {ALL,EQ4,ID1,ID2,ID3,REMARK_A,ID4,ID5,ID6,EQ12,EQ13,THM1,THM2,COR2}
+tribpoly verify: error: argument identity: invalid choice: 'XX' (choose from 'ALL', 'EQ4', 'ID1', 'ID2', 'ID3', 'REMARK_A', 'ID4', 'ID5', 'ID6', 'EQ12', 'EQ13', 'THM1', 'THM2', 'COR2')
+""",
+    "compute nosuch 1": """\
+usage: tribpoly compute [-h] [--format {text,json,csv}]
+                        {b-poly,fib-incomplete,incomplete-number,incomplete-poly,r-poly,trib-number,trib-poly}
+                        indices [indices ...]
+tribpoly compute: error: argument family: invalid choice: 'nosuch' (choose from 'b-poly', 'fib-incomplete', 'incomplete-number', 'incomplete-poly', 'r-poly', 'trib-number', 'trib-poly')
+""",
+}
+
+
+@pytest.mark.parametrize("command", HELP)
+def test_help_is_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(command.split())
+    assert (exit_.value.code, *capsys.readouterr()) == (0, HELP[command], "")
+
+
+@pytest.mark.parametrize("command", USAGE_ERRORS)
+def test_usage_error_is_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(command.split())
+    assert (exit_.value.code, *capsys.readouterr()) == (2, "", USAGE_ERRORS[command])
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import inspect
+import math
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +10,7 @@ from tribpoly import (
     Polynomial,
     TruncatedSeries,
     X,
+    ZERO,
     all_passed,
     closed_form_generating_series,
     direct_generating_series,
@@ -392,6 +394,55 @@ def test_closed_form_is_a_short_fraction_at_depth(s, x1):
     assert top <= 3 * s + 1
     if not x1:
         assert top == 3 * s + 1
+
+
+def _cleared(series, s, x):
+    """E * series, E = (1 - x^2 z)^(s+1) * D and D = 1 - x^2 z - x z^2 - z^3."""
+    order = series.order
+    denominator = TruncatedSeries([1, -(x * x), -x, -1], order)
+    return series * TruncatedSeries([1, -(x * x)], order) ** (s + 1) * denominator
+
+
+def _cleared_numerator(s, x1, order):
+    """z^(2s+1) ((1 - x^2 z)^(s+1) head - z^2 (x + z)^(s+1)), the closed form
+    times E, from EQ13's split head and the overshoot's two binomials."""
+
+    def monomial(c, e):
+        return Polynomial.from_terms({0 if x1 else e: c})
+
+    head = [monomial(h.evaluate(1), 0) if x1 else h for h in ident._split_head(s)]
+    terms = [ZERO] * (3 * s + 5)
+    for k in range(s + 2):
+        c = math.comb(s + 1, k)
+        for j, h in enumerate(head):
+            terms[2 * s + 1 + k + j] += monomial((-1) ** k * c, 2 * k) * h
+        terms[2 * s + 3 + k] -= monomial(c, s + 1 - k)
+    return TruncatedSeries(terms, order)
+
+
+@pytest.mark.parametrize("x1", [False, True], ids=["x", "x=1"])
+@pytest.mark.parametrize("s", range(9))
+def test_both_sides_cleared_of_the_denominator_are_one_polynomial(s, x1):
+    # verify_thm2's argument: times E, both sides are this polynomial of
+    # z-degree <= 3s + 4, so a check at order 3s + 4 decides every order;
+    # here every coefficient through order 3s + 30 is compared
+    order = 3 * s + 30
+    x = 1 if x1 else X
+    numerator = _cleared_numerator(s, x1, order)
+    assert not any(numerator.coeffs[3 * s + 5 :])
+    assert _cleared(direct_generating_series(s, order, x1=x1), s, x) == numerator
+    assert _cleared(closed_form_generating_series(s, order, x1=x1), s, x) == numerator
+
+
+@pytest.mark.parametrize("level", range(7))
+def test_a_triangle_column_is_a_short_fraction(level):
+    # the column lemma: sum_n B(n, l) z^n = z^l (x + z)^l / (1 - x^2 z)^(l+1),
+    # checked through order 60, far past the numerator's degree 2l
+    order = 60
+    column = TruncatedSeries([trib.triangle_poly(n, level) for n in range(order + 1)], order)
+    cleared = column * TruncatedSeries([1, -(X * X)], order) ** (level + 1)
+    binomials = [Polynomial.from_terms({level - k: math.comb(level, k)}) for k in range(level + 1)]
+    assert cleared == TruncatedSeries([ZERO] * level + binomials, order)
 
 
 @pytest.mark.parametrize("s", range(5))
