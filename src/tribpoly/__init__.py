@@ -15,11 +15,15 @@ _HOME = {
     for module, names in (
         (
             "identities",
-            "ALL_IDENTITY_IDS GridConfig IdentityReport all_passed"
-            " closed_form_generating_series direct_generating_series"
-            " overshoot_generating_series run_grid summarize verify_cor2 verify_eq4"
-            " verify_eq12 verify_eq13 verify_id1 verify_id2 verify_id3 verify_id4"
-            " verify_id5 verify_id6 verify_remark_a verify_thm1 verify_thm2",
+            "ALL_IDENTITY_IDS GridConfig IdentityReport all_passed run_grid summarize"
+            " verify_cor2 verify_eq4 verify_eq12 verify_eq13 verify_id1 verify_id2"
+            " verify_id3 verify_id4 verify_id5 verify_id6 verify_remark_a verify_thm1"
+            " verify_thm2",
+        ),
+        (
+            "generating",
+            "closed_form_generating_series direct_generating_series"
+            " overshoot_generating_series",
         ),
         ("poly", "ONE Polynomial X ZERO"),
         ("series", "TruncatedSeries rational_expand"),

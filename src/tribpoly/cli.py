@@ -12,10 +12,12 @@ a subcommand raises, before any output, becomes one ``error:`` line on
 stderr.  Results go to stdout.  A stdout closed before all output is
 written (``tribpoly verify all | head``) exits 1 quietly.
 
-Only ``poly`` and ``tribonacci`` load with this module.  ``identities``,
-``tilings``, ``csv`` and ``dataclasses`` load in the commands that use
-them, and the parser reads the identity ids and the enumeration cap only
-when it shows or checks them, so ``compute`` starts without them.
+Only ``poly`` and ``tribonacci`` load with this module; every other module
+loads in the commands that use it.  ``gf`` adds ``generating`` and
+``series``, ``enumerate`` adds ``tilings``, ``verify`` adds ``identities``
+with the rest and ``dataclasses``, and ``csv`` loads for CSV output alone.
+The parser reads the identity ids and the enumeration cap only when it
+shows or checks them, so ``compute`` starts without any of these.
 """
 
 from __future__ import annotations
@@ -321,9 +323,9 @@ def _cmd_gf(args: argparse.Namespace) -> int:
         raise ValueError(
             f"order {args.order} is below the series offset {2 * args.s + 1}; nothing to show"
         )
-    from . import identities
+    from .generating import closed_form_generating_series
 
-    series = identities.closed_form_generating_series(args.s, args.order, x1=args.x1)
+    series = closed_form_generating_series(args.s, args.order, x1=args.x1)
     _write(
         args.format,
         series.coeffs,

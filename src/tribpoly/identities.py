@@ -24,9 +24,15 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Sequence
 
-from . import tilings
+from . import generating, tilings
 from . import tribonacci as trib
-from .poly import ONE, Polynomial, X, ZERO, _product_sum, _require_int
+from .generating import (  # overshoot_generating_series: perfbench/tracing.py reads it here
+    _series,
+    closed_form_generating_series,
+    direct_generating_series,
+    overshoot_generating_series,
+)
+from .poly import ONE, Polynomial, _product_sum
 from .series import TruncatedSeries, rational_expand
 
 PASSED = "passed"
@@ -118,18 +124,6 @@ def _identity(identity_id: str, precondition: Callable[..., bool], **axes: objec
         return check
 
     return declare
-
-
-def _series(terms: Sequence, order: int) -> TruncatedSeries:
-    """A series from its leading terms, cut or padded with zeros to the order."""
-    return TruncatedSeries(terms[: order + 1], order)
-
-
-def _split_head(s: int) -> list[Polynomial]:
-    """Weights of the first 2s + j cells, j = 0, 1, 2, as a tiling meets the cut after
-    cell 2s: no piece across it, a piece ending one past it, a tromino ending two past it."""
-    tp = trib.tribonacci_poly
-    return [tp(2 * s + 1), tp(2 * s - 1) + tp(2 * s).times_monomial(1, 1), tp(2 * s)]
 
 
 # ----------------------------------------------------------------------
@@ -255,9 +249,12 @@ def verify_eq12(n: int, s: int):
 @_identity("EQ13", lambda n, s: s >= 0 and n >= 2 * s + 1, n=(1, 18), s=(0, 4))
 def verify_eq13(n: int, s: int):
     """Splitting of the full polynomial at the cut after cell 2s: a tiling that
-    meets it as ``_split_head(s)[j]`` says goes on with T(n - 2s - j)."""
+    meets it as ``generating._split_head(s)[j]`` says goes on with T(n - 2s - j).
+    The head is read at its home, as the closed form reads it, so one fault there
+    reaches both EQ13 and THM2."""
     tp = trib.tribonacci_poly
-    return tp(n), _product_sum((1, 0, h, tp(n - 2 * s - j)) for j, h in enumerate(_split_head(s)))
+    head = generating._split_head(s)
+    return tp(n), _product_sum((1, 0, h, tp(n - 2 * s - j)) for j, h in enumerate(head))
 
 
 @_identity("THM1", lambda n, s: n >= 0 and s >= 0, n=(0, 14), s=lambda n: (0, n // 2))
@@ -266,55 +263,6 @@ def verify_thm1(n: int, s: int, *, cap: int = tilings.DEFAULT_CAP):
     incomplete polynomial formula."""
     members = tilings.enumerate_restricted(n, s, cap=cap)
     return tilings.weight_distribution(members), trib.incomplete_tribonacci_poly(n + 1, s)
-
-
-# ----------------------------------------------------------------------
-# generating functions
-
-
-def _overshoot_series(x, s: int, order: int) -> TruncatedSeries:
-    """z^2 * ((x + z) / (1 - x^2 z))^(s+1), for x the symbol X or the number 1.
-    Both powers have z-degree s + 1: each is taken at that order, then cut or padded."""
-    num, den = ((_series(f, s + 1) ** (s + 1)).coeffs for f in ([x, 1], [1, -(x * x)]))
-    return rational_expand(_series(num, order), _series(den, order)).shifted(2)
-
-
-def overshoot_generating_series(s: int, order: int) -> TruncatedSeries:
-    """z^2 * ((x + z) / (1 - x^2 z))^(s+1); its z^n coefficient is
-    ``overshoot_poly(n, s)``."""
-    _require_int(s, "overshoot level", 0)
-    return _overshoot_series(X, s, order)
-
-
-def direct_generating_series(s: int, order: int, *, x1: bool = False) -> TruncatedSeries:
-    """Sum of the level-s incomplete family over all admissible indices,
-    straight from the defining formulas; coefficients are numbers when x1."""
-    _require_int(s, "restriction level", 0)
-    family = trib.incomplete_tribonacci_number if x1 else trib.incomplete_tribonacci_poly
-    start = 2 * s + 1  # the lowest index with a level-s member
-    return _series([ZERO] * start + [family(k, s) for k in range(start, order + 1)], order)
-
-
-def closed_form_generating_series(s: int, order: int, *, x1: bool = False) -> TruncatedSeries:
-    """Rational closed form of the level-s generating function, expanded.
-
-    The paper's form is z^(2s+1) (head(z) - overshoot(z)) / D(z): head is the
-    z-quadratic of EQ13's split (``_split_head``), overshoot is
-    ``_overshoot_series`` and D = 1 - x^2 z - x z^2 - z^3.  An expansion costs
-    the denominator's nonzero z-terms, so the one by D stays cheap however
-    dense the numerator is.
-    """
-    _require_int(s, "restriction level", 0)
-    x = 1 if x1 else X
-    denominator = _series([1, -(x * x), -x, -1], order)
-    if x1:
-        tn = trib.tribonacci_number
-        head = [tn(2 * s + 1), tn(2 * s - 1) + tn(2 * s), tn(2 * s)]
-        overshoot = _overshoot_series(1, s, order)
-    else:
-        head = _split_head(s)
-        overshoot = overshoot_generating_series(s, order)
-    return rational_expand(_series(head, order) - overshoot, denominator).shifted(2 * s + 1)
 
 
 @_identity("THM2", lambda s, order: s >= 0 and order >= 2 * s + 1, s=(0, 4), order=25)

@@ -200,8 +200,10 @@ class Polynomial:
         return Polynomial._trusted([0] * exponent + [coefficient * c for c in self._coeffs])
 
     def evaluate(self, point: int) -> int:
-        """Exact integer evaluation at ``x = point`` (Horner)."""
+        """Exact integer evaluation at ``x = point``: the coefficient sum at 1, else Horner."""
         _require_int(point, "evaluation point")
+        if point == 1:
+            return sum(self._coeffs)
         acc = 0
         for c in reversed(self._coeffs):
             acc = acc * point + c

@@ -638,21 +638,25 @@ _UNUSED_BY_COMPUTE = (
     "csv",
 )
 
-# The child runs one command line, then names on stderr each module of
-# _UNUSED_BY_COMPUTE that it loaded.
+# modules that ``gf`` never uses: it expands a series, and checks no identity
+_UNUSED_BY_GF = ("tribpoly.identities", "tribpoly.tilings", "inspect", "dataclasses", "csv")
+
+# The child runs the command line after its first argument, then names on
+# stderr each module of that comma-separated first argument that it loaded.
 _REPORT_LOADED = (
     "import sys\n"
     "from tribpoly import cli\n"
-    "code = cli.main(sys.argv[1:])\n"
-    f"print(*(m for m in {_UNUSED_BY_COMPUTE!r} if m in sys.modules), file=sys.stderr)\n"
+    "code = cli.main(sys.argv[2:])\n"
+    "print(*(m for m in sys.argv[1].split(',') if m in sys.modules), file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
 
 
-def _run_fresh(command):
-    """Exit code, stdout and loaded modules of one command in a new interpreter."""
+def _run_fresh(command, unused=_UNUSED_BY_COMPUTE):
+    """Exit code, stdout and the modules of ``unused`` loaded by one command
+    in a new interpreter."""
     proc = subprocess.run(
-        [sys.executable, "-c", _REPORT_LOADED, *command.split()],
+        [sys.executable, "-c", _REPORT_LOADED, ",".join(unused), *command.split()],
         capture_output=True,
         text=True,
         timeout=60,
@@ -665,6 +669,13 @@ def _run_fresh(command):
 )
 def test_compute_loads_no_module_it_does_not_use(capsys, command):
     code, out, loaded = _run_fresh(command)
+    assert loaded == [], f"{command} loaded {', '.join(loaded)}"
+    assert (code, out) == run_cli(capsys, *command.split())[:2]
+
+
+def test_gf_loads_neither_the_catalog_nor_the_tilings(capsys):
+    command = "gf --s 4 --order 120 --format json"
+    code, out, loaded = _run_fresh(command, _UNUSED_BY_GF)
     assert loaded == [], f"{command} loaded {', '.join(loaded)}"
     assert (code, out) == run_cli(capsys, *command.split())[:2]
 

@@ -31,6 +31,7 @@ from tribpoly import (
     verify_thm2,
 )
 from tribpoly import cli
+from tribpoly import generating as gen
 from tribpoly import identities as ident
 from tribpoly import tribonacci as trib
 
@@ -371,7 +372,7 @@ def test_closed_form_matches_direct_from_order_zero(s, x1):
 def test_overshoot_series_from_order_zero():
     for s in range(3):
         for order in range(4):
-            series = ident.overshoot_generating_series(s, order)
+            series = gen.overshoot_generating_series(s, order)
             assert list(series.coeffs) == [trib.overshoot_poly(k, s) for k in range(order + 1)]
 
 
@@ -410,7 +411,7 @@ def _cleared_numerator(s, x1, order):
     def monomial(c, e):
         return Polynomial.from_terms({0 if x1 else e: c})
 
-    head = [monomial(h.evaluate(1), 0) if x1 else h for h in ident._split_head(s)]
+    head = [monomial(h.evaluate(1), 0) if x1 else h for h in gen._split_head(s)]
     terms = [ZERO] * (3 * s + 5)
     for k in range(s + 2):
         c = math.comb(s + 1, k)
@@ -447,9 +448,9 @@ def test_a_triangle_column_is_a_short_fraction(level):
 
 @pytest.mark.parametrize("s", range(5))
 def test_overshoot_series_at_order_120(s):
-    series = ident.overshoot_generating_series(s, 120)
+    series = gen.overshoot_generating_series(s, 120)
     assert list(series.coeffs) == [trib.overshoot_poly(k, s) for k in range(121)]
-    at_one = ident._overshoot_series(1, s, 120)
+    at_one = gen._overshoot_series(1, s, 120)
     assert list(at_one.coeffs) == [trib.overshoot_poly(k, s).evaluate(1) for k in range(121)]
 
 
@@ -492,8 +493,8 @@ def test_a_fault_on_the_closed_form_side_fails(monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(trib, "tribonacci_number", off_by_one(trib.tribonacci_number, k))
                 assert verify_cor2(s, 25).status == "failed", (s, k)
-    real = ident.overshoot_generating_series
-    monkeypatch.setattr(ident, "overshoot_generating_series", lambda s, order: real(s + 1, order))
+    real = gen.overshoot_generating_series
+    monkeypatch.setattr(gen, "overshoot_generating_series", lambda s, order: real(s + 1, order))
     for s in range(5):
         assert verify_thm2(s, 25).status == "failed", s
 
@@ -502,12 +503,12 @@ def test_a_fault_on_the_closed_form_side_fails(monkeypatch):
 def test_a_fault_in_the_split_head_fails_eq13_and_thm2(j, monkeypatch):
     # EQ13's split and the closed form's numerator read one head, so item j
     # off by one fails both identities at every s of their default grids
-    real = ident._split_head
+    real = gen._split_head
 
     def faulty(s):
         return [h + int(i == j) for i, h in enumerate(real(s))]
 
-    monkeypatch.setattr(ident, "_split_head", faulty)
+    monkeypatch.setattr(gen, "_split_head", faulty)
     lo, hi = ident.CATALOG["EQ13"].axes["s"]
     assert ident.CATALOG["THM2"].axes["s"] == (lo, hi)
     for s in range(lo, hi + 1):

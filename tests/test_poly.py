@@ -52,6 +52,25 @@ def test_evaluate():
     assert Polynomial((3,)).evaluate(100) == 3
 
 
+def _horner(coeffs, point):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * point + c
+    return acc
+
+
+@given(st.lists(st.integers(min_value=-(2**70), max_value=2**70), max_size=12).map(Polynomial))
+@example(ZERO)
+def test_evaluate_at_one_is_horners_value(p):
+    # evaluate takes the coefficient sum at 1; True is the int 1 too
+    for point in (1, True):
+        value = p.evaluate(point)
+        assert value == _horner(p.coeffs, 1)
+        assert type(value) is int
+    with pytest.raises(TypeError):
+        p.evaluate(1.0)
+
+
 def test_substitute_power():
     p = Polynomial.from_terms({4: 1, 2: 3})
     assert p.substitute_power(3) == Polynomial.from_terms({12: 1, 6: 3})
