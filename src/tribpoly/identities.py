@@ -32,7 +32,7 @@ from .generating import (  # overshoot_generating_series: perfbench/tracing.py r
     direct_generating_series,
     overshoot_generating_series,
 )
-from .poly import ONE, Polynomial, _product_sum
+from .poly import ONE, Polynomial, _product_sum, _require_int
 from .series import TruncatedSeries, rational_expand
 
 PASSED = "passed"
@@ -101,12 +101,16 @@ def _identity(identity_id: str, precondition: Callable[..., bool], **axes: objec
         parameters = signature.parameters.values()
         names = tuple(p.name for p in parameters if p.kind is p.POSITIONAL_OR_KEYWORD)
         keywords = tuple(p.name for p in parameters if p.kind is p.KEYWORD_ONLY)
+        whats = [f"{identity_id} {name}" for name in names]
 
         @functools.wraps(sides)
         def check(*args: int, **options: int) -> IdentityReport:
-            if options or len(args) != len(names):  # bind first: bad calls raise at every point
+            # bind and check first: bad calls raise at every point, filtered or judged
+            if options or len(args) != len(names):
                 options = signature.bind(*args, **options).arguments
                 args = tuple(options.pop(n) for n in names)
+            for value, what in zip(args, whats):
+                _require_int(value, what)
             params = dict(zip(names, args))
             if not precondition(*args):
                 return IdentityReport(identity_id, params, FILTERED, 0.0)

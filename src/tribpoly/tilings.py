@@ -1,19 +1,21 @@
 """Brute-force enumeration of linear tilings and their weight statistics.
 
-Each tiling model is one three-row table of ``(piece, length)`` in word
-order: plain ``r 1, d 2, t 3`` (square, domino, tromino) and colored
-``B 1, W 1, D 2`` (black square, white square, domino).  Rank 0 is the
-short piece; ranks 1 and 2 are the "longer" pieces, each costing one unit
-of budget.  Rank k weighs x^(2 - k), so ``expand_colored`` maps rank to rank.
+Each tiling model is one table of ``(piece, length, weight exponent)``
+rows in word order: plain ``r 1 2, d 2 1, t 3 0`` (square, domino,
+tromino) and colored ``B 1 2, W 1 1, D 2 0`` (black square, white square,
+domino).  Rank 0 is the short piece; every other row is a "longer" piece
+and costs one unit of budget.  ``expand_colored`` maps each piece to the
+plain piece of the same rank, and so of the same weight.
 
 Enumeration is brute force and uses no formula: these sets are the
 independent oracle of the closed formulas, so it is capped, and raising the
 cap is a deliberate, explicit act.  Each enumerator is one call of one
 depth-first walk, which owns the limits (length, cap, budget) and keeps the
-words with at most ``budget`` longer pieces; an exact count filters them.
-The walk lists the last few cells of every word from a table of tails,
-built once per model, at import, and each word gets its weight exponent
-once, when it is built.
+words with at most ``budget`` longer pieces; an exact count is one filter
+of them.  The walk and the table of tails that lists the last few cells of
+every word, built once per model, at import, take each step by the one
+rule of the model's table, and each word gets its weight exponent once,
+when it is built.
 """
 
 from __future__ import annotations
@@ -35,12 +37,13 @@ BLACK = "B"
 WHITE = "W"
 COLORED_DOMINO = "D"
 
-# (piece, length) by rank, in word order
-_Model = tuple[tuple[str, int], ...]
-_PLAIN: _Model = ((SQUARE, 1), (DOMINO, 2), (TROMINO, 3))
-_COLORED: _Model = ((BLACK, 1), (WHITE, 1), (COLORED_DOMINO, 2))
+# (piece, length, weight exponent) by rank, in word order; every rank but 0
+# costs one unit of budget
+_Model = tuple[tuple[str, int, int], ...]
+_PLAIN: _Model = ((SQUARE, 1, 2), (DOMINO, 2, 1), (TROMINO, 3, 0))
+_COLORED: _Model = ((BLACK, 1, 2), (WHITE, 1, 1), (COLORED_DOMINO, 2, 0))
 
-_EXPANSION = {colored: plain for (colored, _), (plain, _) in zip(_COLORED, _PLAIN)}
+_EXPANSION = {colored[0]: plain[0] for colored, plain in zip(_COLORED, _PLAIN)}
 
 # The most words a table of tails may hold, over all its lengths: a bound
 # by count, not by length, because the colored model branches faster
@@ -58,10 +61,12 @@ def _count(*ranks: int, doc: str | None = None) -> property:
     )
 
 
-def _weight(model: _Model, pieces: tuple[str, ...]) -> int:
-    """The weight exponent of a piece sequence: rank k counts 2 - k."""
-    (short, _), (middle, _), _ = model
-    return 2 * pieces.count(short) + pieces.count(middle)
+def _steps(model: _Model) -> list[tuple[str, int, int, int]]:
+    """The model's rows as ``(piece, length, weight exponent, cost)``, in
+    word order: the one step rule of the walk and of the table of tails.  A
+    step lays a piece that fits the cells left, adds its weight exponent and
+    spends its cost, which must not exceed the budget left."""
+    return [(piece, size, w, min(rank, 1)) for rank, (piece, size, w) in enumerate(model)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,27 +83,18 @@ class _Word:
         # a string or a list of pieces is kept as the tuple it stands for
         pieces = tuple(self.pieces)
         object.__setattr__(self, "pieces", pieces)
-        names = [piece for piece, _ in self._model]
+        names = [piece for piece, _, _ in self._model]
         for piece in pieces:
             if piece not in names:
                 raise ValueError(
                     f"{type(self).__name__} has no piece {piece!r}; its pieces are {', '.join(names)}"
                 )
-        object.__setattr__(self, "weight_exponent", _weight(self._model, pieces))
-
-    @classmethod
-    def _trusted(cls: type[_W], pieces: tuple[str, ...]) -> _W:
-        """Package-internal constructor for pieces drawn from the model's
-        own table: nothing is checked.  Public input goes through ``__init__``."""
-        word = object.__new__(cls)
-        _SET_PIECES(word, pieces)
-        _SET_WEIGHT(word, _weight(cls._model, pieces))
-        return word
+        weight = sum(w * pieces.count(piece) for piece, _, w in self._model)
+        object.__setattr__(self, "weight_exponent", weight)
 
     @property
     def length(self) -> int:
-        lengths = dict(self._model)
-        return sum(lengths[p] for p in self.pieces)
+        return sum(size * self.pieces.count(piece) for piece, size, _ in self._model)
 
     def word(self) -> str:
         return "".join(self.pieces)
@@ -155,20 +151,19 @@ def _tails(model: _Model) -> _Tails:
     longer pieces that fit m cells, and the table grows while its words, over
     every length, number at most ``_TAIL_WORDS``: 8 cells for the plain
     model, 5 for the colored."""
-    (short, _), *longer = model
-    step = min(size for _, size in longer)  # the most longer pieces in m cells is m // step
+    steps = _steps(model)
+    shortest = min(size for _, size, _, cost in steps if cost)  # of the longer pieces
     table: _Tails = [[[((), 0)]]]
     words = 1
     while True:
         m = len(table)
         columns = []
-        for j in range(m // step + 1):
-            column = [((short,) + p, w + 2) for p, w in _reach(table, m - 1, j)]
-            if j:
-                for rank, (piece, size) in enumerate(longer, 1):
-                    if size <= m:
-                        tails = _reach(table, m - size, j - 1)
-                        column += [((piece,) + p, w + 2 - rank) for p, w in tails]
+        for j in range(m // shortest + 1):
+            column = []
+            for piece, size, weight, cost in steps:
+                if size <= m and cost <= j:
+                    tails = _reach(table, m - size, j - cost)
+                    column += [((piece,) + p, weight + w) for p, w in tails]
             columns.append(column)
         words += len(columns[-1])  # the last column holds every word of m cells
         if words > _TAIL_WORDS:
@@ -186,11 +181,11 @@ def _words(n: int, cls: type[_W], budget: int, cap: int) -> list[_W]:
     ``cap`` an EnumerationCapError, and a negative budget gives no words.
 
     One depth-first walk over a shared path lays down the pieces of each
-    word until the cells left fit its model's table of tails; there it
-    joins the path to every tail that the budget left admits, and sets each
-    word's weight from the path's and the tail's.  It has one rule, at most
-    ``budget`` longer pieces; an exact count of them is a filter of the
-    words it returns.
+    word, by the model's step rule, until the cells left fit its table of
+    tails; there it joins the path to every tail that the budget left
+    admits, and sets each word's weight from the path's and the tail's.  It
+    has one limit, at most ``budget`` longer pieces; an exact count of them
+    is ``_exactly``'s filter of the words it returns.
     """
     if not isinstance(n, int) or not isinstance(budget, int):
         raise TypeError(f"tiling length and budget must be ints, got {n!r} and {budget!r}")
@@ -202,11 +197,9 @@ def _words(n: int, cls: type[_W], budget: int, cap: int) -> list[_W]:
     out: list[_W] = []
     if budget < 0:
         return out
-    model = cls._model
-    table = _TAILS[model]
+    table = _TAILS[cls._model]
     tail = len(table) - 1
-    short = model[0][0]
-    longer = [(piece, size, 2 - rank) for rank, (piece, size) in enumerate(model) if rank]
+    steps = _steps(cls._model)
     new, append = object.__new__, out.append
     path: list[str] = []
 
@@ -219,15 +212,11 @@ def _words(n: int, cls: type[_W], budget: int, cap: int) -> list[_W]:
                 _SET_WEIGHT(word, weight + w)
                 append(word)
             return
-        path.append(short)
-        walk(room - 1, left, weight + 2)
-        path.pop()
-        if left:
-            for piece, size, w in longer:
-                if size <= room:
-                    path.append(piece)
-                    walk(room - size, left - 1, weight + w)
-                    path.pop()
+        for piece, size, w, cost in steps:
+            if size <= room and cost <= left:
+                path.append(piece)
+                walk(room - size, left - cost, weight + w)
+                path.pop()
 
     try:
         walk(n, budget, 0)
@@ -259,9 +248,16 @@ def weight_distribution(tilings: Iterable[Tiling | ColoredTiling]) -> Polynomial
     return Polynomial.from_terms(counts)
 
 
+def _exactly(n: int, cls: type[_W], k: int, cap: int) -> list[_W]:
+    """Words of ``cls``'s model of length n with exactly k longer pieces: the
+    walk's words with a budget of k, kept when they spend all of it."""
+    short = cls._model[0][0]
+    return [w for w in _words(n, cls, k, cap) if len(w.pieces) - w.pieces.count(short) == k]
+
+
 def enumerate_colored(n: int, i: int, *, cap: int = DEFAULT_CAP) -> list[ColoredTiling]:
     """Colored tilings of length n with white squares + dominos == i."""
-    return [w for w in _words(n, ColoredTiling, i, cap) if w.color_budget == i]
+    return _exactly(n, ColoredTiling, i, cap)
 
 
 def expand_colored(tiling: ColoredTiling) -> Tiling:
@@ -274,12 +270,12 @@ def expand_colored(tiling: ColoredTiling) -> Tiling:
     """
     if not isinstance(tiling, ColoredTiling):
         raise TypeError(f"expand_colored takes a ColoredTiling, got {type(tiling).__name__}")
-    return Tiling._trusted(tuple(_EXPANSION[p] for p in tiling.pieces))
+    return Tiling(tuple(_EXPANSION[p] for p in tiling.pieces))
 
 
 def exact_longer_distribution(n: int, k: int, *, cap: int = DEFAULT_CAP) -> Polynomial:
     """Weight of tilings of length n with exactly k longer pieces."""
-    return weight_distribution(t for t in _words(n, Tiling, k, cap) if t.longer_pieces == k)
+    return weight_distribution(_exactly(n, Tiling, k, cap))
 
 
 def overshoot_distribution(n: int, s: int, *, cap: int = DEFAULT_CAP) -> Polynomial:
@@ -291,8 +287,6 @@ def overshoot_distribution(n: int, s: int, *, cap: int = DEFAULT_CAP) -> Polynom
         raise ValueError(f"overshoot index must be >= 0, got {n}")
     if s < 0:
         raise ValueError(f"overshoot level must be >= 0, got {s}")
-    # the count comes first: a word with s + 1 >= 1 longer pieces is not empty
-    members = _words(n + 2 * s, Tiling, s + 1, cap)
-    return weight_distribution(
-        t for t in members if t.longer_pieces == s + 1 and t.pieces[-1] != SQUARE
-    )
+    # each word has s + 1 >= 1 longer pieces, so a last piece
+    members = _exactly(n + 2 * s, Tiling, s + 1, cap)
+    return weight_distribution(t for t in members if t.pieces[-1] != SQUARE)

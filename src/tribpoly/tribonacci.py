@@ -28,6 +28,8 @@ _X_SQUARED = Polynomial((0, 0, 1))
 
 def binom(a: int, b: int) -> int:
     """Binomial coefficient with the zero convention outside 0 <= b <= a."""
+    _require_int(a, "binomial top")
+    _require_int(b, "binomial bottom")
     if b < 0 or a < 0 or b > a:
         return 0
     return math.comb(a, b)
@@ -171,6 +173,7 @@ def _triangle_sum(parts: Iterable[tuple[int, int, int, int]]) -> Polynomial:
 def level_sum(n: int, weights: Iterable[int]) -> Polynomial:
     """Levels i = 0, 1, ... of the index-(n+1) double sum, level i weighted
     by ``weights[i]``; level i is B(n-i, i)."""
+    _require_int(n, "level_sum index")
     weights = list(weights)
     for weight in weights:
         if not isinstance(weight, int):
@@ -194,15 +197,18 @@ def triangle_poly(n: int, i: int) -> Polynomial:
     Out-of-range (n, i) give the zero polynomial via the binomial conventions;
     evaluating at x = 1 gives the plain triangle entry.
     """
+    _require_int(n, "triangle row")
+    _require_int(i, "triangle column")
     return _triangle_sum([(n, i, 1, 0)])
 
 
 def _top_level(m: int, s: int) -> int:
     """The last level kept by the index-m incomplete member cut at level s:
-    -1 (no level, the zero member) for s = -1, whatever m is; levels beyond
+    -1 (no level, the zero member) for s = -1, whatever int m is; levels beyond
     floor((m-1)/2) are clamped."""
     _require_int(s, "restriction level", -1)
     if s == -1:
+        _require_int(m, "incomplete family index")
         return -1
     _require_int(m, "incomplete family index", 1)
     return min(s, (m - 1) // 2)

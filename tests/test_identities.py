@@ -117,7 +117,8 @@ def test_a_bad_call_names_the_check_parameter(call, message):
     assert str(raised.value) == message
 
 
-# an unknown keyword is refused whether the point would be judged or filtered
+# an unknown keyword, or a parameter that is not an int, is refused whether
+# the point would be judged or filtered
 @pytest.mark.parametrize("identity_id", list(ident.CATALOG))
 def test_every_check_rejects_an_unknown_keyword(identity_id):
     entry = ident.CATALOG[identity_id]
@@ -128,6 +129,10 @@ def test_every_check_rejects_an_unknown_keyword(identity_id):
     for point in (judged, filtered):
         with pytest.raises(TypeError, match="got an unexpected keyword argument 'bogus'"):
             entry.check(*point, bogus=1)
+        for k, name in enumerate(entry.params):
+            floated = (*point[:k], float(point[k]), *point[k + 1 :])
+            with pytest.raises(TypeError, match=f"^{identity_id} {name} must be an int, got float$"):
+                entry.check(*floated)
 
 
 def test_corrupted_formula_yields_failure_payload(monkeypatch):

@@ -1,7 +1,8 @@
-"""Every integer argument of the families, the overshoot weights, the
-truncated series and the tilings is checked at its door, by one rule: a
-value that is not an int is a TypeError naming the argument, and a value
-below the argument's bound is a ValueError, before any work is done."""
+"""Every integer argument of the families, the triangle entries, the
+overshoot weights, the truncated series and the tilings is checked at its
+door, by one rule: a value that is not an int is a TypeError naming the
+argument, and a value below the argument's bound is a ValueError, before
+any work is done."""
 
 import re
 
@@ -104,6 +105,42 @@ DOORS = {
         _not_int("incomplete family index"),
         (0, "incomplete family index must be >= 1, got 0"),
     ),
+    # level -1 is the zero member whatever int index it has, but not a float one
+    "incomplete index at level -1": (
+        lambda v: incomplete_tribonacci_poly(v, -1),
+        _not_int("incomplete family index"),
+        None,
+    ),
+    "fibonacci index at level -1": (
+        lambda v: incomplete_fibonacci_poly(v, -1),
+        _not_int("incomplete family index"),
+        None,
+    ),
+    "binom top": (
+        lambda v: trib.binom(v, 1),
+        _not_int("binomial top"),
+        None,
+    ),
+    "binom bottom": (
+        lambda v: trib.binom(3, v),
+        _not_int("binomial bottom"),
+        None,
+    ),
+    "triangle row": (
+        lambda v: trib.triangle_poly(v, 1),
+        _not_int("triangle row"),
+        None,
+    ),
+    "triangle column": (
+        lambda v: trib.triangle_poly(5, v),
+        _not_int("triangle column"),
+        None,
+    ),
+    "level_sum index": (
+        lambda v: trib.level_sum(v, [1]),
+        _not_int("level_sum index"),
+        None,
+    ),
     "incomplete_sum weight": (
         lambda v: trib.incomplete_sum([(v, 0, 5, 1)]),
         _not_int("incomplete_sum weights"),
@@ -185,3 +222,4 @@ def test_a_far_float_index_walks_nothing(monkeypatch):
 def test_a_float_minus_one_is_not_read_as_the_zero_member(call):
     with pytest.raises(TypeError):
         call()
+
