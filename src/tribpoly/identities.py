@@ -138,9 +138,9 @@ def _identity(identity_id: str, precondition: Callable[..., bool], **axes: objec
 def verify_eq4(n: int, s: int):
     """Three-term recurrence of the incomplete polynomials, corrected by the
     overshoot weight: the tilings that first go over a budget of s longer pieces."""
-    lhs = trib.incomplete_tribonacci_poly(n + 3, s)
-    members = trib.incomplete_sum([(1, 2, n + 2, s), (1, 1, n + 1, s), (1, 0, n, s)])
-    return lhs, members - trib.overshoot_poly(n - 2 * s + 2, s)
+    members = [(1, 2, n + 2, s), (1, 1, n + 1, s), (1, 0, n, s)]
+    overshoot = trib._overshoot_parts(n - 2 * s + 2, s, -1)
+    return trib.incomplete_tribonacci_poly(n + 3, s), trib._incomplete_sum(members, overshoot)
 
 
 @_identity(
@@ -151,16 +151,16 @@ def verify_eq4(n: int, s: int):
     h=(1, 4),
 )
 def verify_id1(n: int, s: int, h: int):
-    """Geometric-weighted window sum against a level-(s+1) telescope, in the
-    form cleared of the 1 + x^3 denominator.  The cleared form is itself the
-    divisibility statement: since 1 + x^3 is monic, it divides the telescope
-    with quotient the window exactly when the two sides are equal."""
-    window = trib.incomplete_sum([(1, 2 * (h - i - 1), n + i, s) for i in range(h)])
-    bracket = trib.incomplete_sum(
+    """Geometric-weighted window sum against a level-(s+1) telescope, cleared of the
+    1 + x^3 denominator by taking each window member at shifts e and e + 3.  The
+    cleared form is the divisibility statement: since 1 + x^3 is monic, it divides
+    the telescope with quotient the window exactly when the two sides are equal."""
+    cleared = [(1, 2 * (h - i - 1) + d, n + i, s) for i in range(h) for d in (0, 3)]
+    bracket = trib._incomplete_sum(
         [(1, 0, n + h + 2, s + 1), (-1, 2 * h, n + 2, s + 1)]
         + [(1, 2 * h + 1, n, s), (-1, 1, n + h, s)]
     )
-    return Polynomial((1, 0, 0, 1)) * window, bracket
+    return trib._incomplete_sum(cleared), bracket
 
 
 def _all_levels(n: int) -> Polynomial:
@@ -201,7 +201,7 @@ def verify_remark_a(order: int):
 @_identity("ID4", lambda n, s: s >= 0 and n >= 2 * s + 1, n=(1, 16), s=(0, 4))
 def verify_id4(n: int, s: int):
     """Decomposition of an incomplete polynomial by its run of trailing dominos."""
-    rhs = trib.incomplete_sum(
+    rhs = trib._incomplete_sum(
         [(1, i + 2, n - 2 * i, s - i) for i in range(s + 1)]
         + [(1, i, n - 2 * i - 2, s - i - 1) for i in range(s + 1)]
     )
@@ -212,7 +212,7 @@ def verify_id4(n: int, s: int):
 def verify_id5(n: int, s: int):
     """Decomposition by the composition of the final s tiles (trinomial refinement)."""
     binom = trib.binom
-    rhs = trib.incomplete_sum(
+    rhs = trib._incomplete_sum(
         [
             (binom(s, i) * binom(s - i, j), 2 * s - i - 2 * j, n - s - i - 2 * j, s - i - j)
             for i in range(s + 1)
@@ -330,8 +330,8 @@ def _points(entry: Identity, cfg: GridConfig) -> tuple[list[tuple[int, ...]], di
             for value in range(lo, hi + 1):
                 grown.append((*point, value))
         points = grown
-    options = {k: getattr(cfg, _CONFIG_FIELDS[k]) for k in entry.options}
-    return points, {k: v for k, v in options.items() if v is not None}
+    options = {k: v for k in entry.options if (v := getattr(cfg, _CONFIG_FIELDS[k])) is not None}
+    return points, options
 
 
 def run_grid(
@@ -346,10 +346,10 @@ def run_grid(
     if unknown:
         raise ValueError(f"unknown identity ids: {sorted(unknown)}")
     reports = []
-    for identity_id, entry in CATALOG.items():
-        if identity_id in wanted:
-            points, options = _points(entry, cfg)
-            reports += [entry.check(*point, **options) for point in points]
+    for identity_id in sorted(wanted, key=ALL_IDENTITY_IDS.index):
+        entry = CATALOG[identity_id]
+        points, options = _points(entry, cfg)
+        reports += [entry.check(*point, **options) for point in points]
     return reports
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import threading
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from typing import Iterable
 
 from .poly import ONE, Polynomial, ZERO, _require_int
@@ -146,25 +146,28 @@ def tribonacci_poly(n: int) -> Polynomial:
 
 def _triangle_sum(parts: Iterable[tuple[int, int, int, int]]) -> Polynomial:
     """Sum of ``weight * x^shift * B(n, i)`` over the ``(n, i, weight, shift)``
-    parts.  B(n, i) = sum_j binom(i, j) binom(n-j, i) x^(2n-i-3j), the
-    tribonacci-triangle entry, weighs the length-(n+i) tilings with exactly
-    i longer pieces; it is zero for i < 0 or n < i.
+    parts, in one pass that grows the list as a part needs it.  B(n, i) =
+    sum_j binom(i, j) binom(n-j, i) x^(2n-i-3j), the tribonacci-triangle entry,
+    weighs the length-(n+i) tilings with exactly i longer pieces; it is zero
+    for i < 0 or n < i.
 
     The term of j is nonzero for 0 <= j <= min(i, n-i).  Its coefficient
     c_j = binom(i, j) binom(n-j, i) is stepped, not recomputed:
-    c_(j+1) = c_j (i-j) (n-i-j) / ((j+1) (n-j)).  Each division is exact,
-    because c_j (i-j) (n-i-j) equals the integer c_(j+1) times the divisor
-    (n-j >= 1 at every step taken); the weight rides along in c_j."""
-    live = [(n, i, weight, shift) for n, i, weight, shift in parts if weight and 0 <= i <= n]
-    if not live:
-        return ZERO
-    out = [0] * (max(2 * n - i + shift for n, i, _, shift in live) + 1)
-    for n, i, weight, shift in live:
+    c_(j+1) = c_j (i-j) (n-i-j) / ((j+1) (n-j)), one big-int multiply by the
+    two small factors' product.  The floor division is exact, whatever the
+    sign of the weight riding along in c_j: c_j (i-j) (n-i-j) is the integer
+    c_(j+1) times the divisor (n-j >= 1 at every step taken)."""
+    out: list[int] = []
+    for n, i, weight, shift in parts:
+        if not weight or i < 0 or n < i:
+            continue
         e = 2 * n - i + shift
+        if (grow := e + 1 - len(out)) > 0:
+            out += [0] * grow
         c = weight * math.comb(n, i)
         out[e] += c
         for j in range(min(i, n - i)):
-            c = c * (i - j) * (n - i - j) // ((j + 1) * (n - j))
+            c = c * ((i - j) * (n - i - j)) // ((j + 1) * (n - j))
             e -= 3
             out[e] += c
     return Polynomial._trusted(out)
@@ -176,8 +179,7 @@ def level_sum(n: int, weights: Iterable[int]) -> Polynomial:
     _require_int(n, "level_sum index")
     weights = list(weights)
     for weight in weights:
-        if not isinstance(weight, int):
-            raise TypeError(f"level_sum weights must be ints, got {type(weight).__name__}")
+        _require_int(weight, "level_sum weights")
     return _triangle_sum((n - i, i, weight, 0) for i, weight in enumerate(weights))
 
 
@@ -204,13 +206,10 @@ def triangle_poly(n: int, i: int) -> Polynomial:
 
 def _top_level(m: int, s: int) -> int:
     """The last level kept by the index-m incomplete member cut at level s:
-    -1 (no level, the zero member) for s = -1, whatever int m is; levels beyond
-    floor((m-1)/2) are clamped."""
+    levels beyond floor((m-1)/2) are clamped, and s = -1 admits any int m and
+    gives a level below 0 (no level, the zero member)."""
     _require_int(s, "restriction level", -1)
-    if s == -1:
-        _require_int(m, "incomplete family index")
-        return -1
-    _require_int(m, "incomplete family index", 1)
+    _require_int(m, "incomplete family index", None if s == -1 else 1)
     return min(s, (m - 1) // 2)
 
 
@@ -223,16 +222,20 @@ def incomplete_tribonacci_poly(m: int, s: int) -> Polynomial:
     return level_sum(m - 1, [1] * (_top_level(m, s) + 1))
 
 
+def _incomplete_sum(terms: list[tuple], extra: Iterable[tuple] = ()) -> Polynomial:
+    """``incomplete_sum`` of trusted terms, plus the triangle parts ``extra``: level l
+    of the index-m member is B(m-1-l, l), zero past its top, and s < 0 keeps none."""
+    members = ((m - 1 - l, l, c, e) for c, e, m, s in terms for l in range(s + 1))
+    return _triangle_sum(chain(members, extra))
+
+
 def incomplete_sum(terms: list[tuple[int, int, int, int]]) -> Polynomial:
     """Sum of ``c * x^e * incomplete_tribonacci_poly(m, s)`` over the
-    ``(c, e, m, s)`` terms, shifts e >= 0, as one triangle sum: level l of
-    the index-m member is B(m-1-l, l)."""
+    ``(c, e, m, s)`` terms, shifts e >= 0, as one triangle sum."""
     for c, e, _, _ in terms:
         _require_int(c, "incomplete_sum weights")
         _require_int(e, "incomplete_sum shifts", 0)
-    return _triangle_sum(
-        (m - 1 - l, l, c, e) for c, e, m, s in terms for l in range(_top_level(m, s) + 1)
-    )
+    return _incomplete_sum([(c, e, m, _top_level(m, s)) for c, e, m, s in terms])
 
 
 def incomplete_tribonacci_number(m: int, s: int) -> int:
@@ -250,6 +253,12 @@ def incomplete_fibonacci_poly(n: int, s: int) -> Polynomial:
     return Polynomial.from_terms({n - 2 * r - 1: math.comb(n - r - 1, r) for r in levels})
 
 
+def _overshoot_parts(n: int, s: int, weight: int) -> list[tuple]:
+    """``weight * overshoot_poly(n, s)`` as the triangle parts left by removing
+    its last longer piece: a domino (weight x) or a tromino (weight 1)."""
+    return [(n + s - 2, s, weight, 1), (n + s - 3, s, weight, 0)]
+
+
 def overshoot_poly(n: int, s: int) -> Polynomial:
     """Weight of length-(n + 2s) tilings with exactly s + 1 longer pieces that
     end in a longer piece: the minimal ways a tiling first exceeds a budget
@@ -261,5 +270,4 @@ def overshoot_poly(n: int, s: int) -> Polynomial:
     """
     _require_int(n, "overshoot index", 0)
     _require_int(s, "overshoot level", 0)
-    # remove the last longer piece: a domino (weight x) or a tromino (weight 1)
-    return _triangle_sum([(n + s - 2, s, 1, 1), (n + s - 3, s, 1, 0)])
+    return _triangle_sum(_overshoot_parts(n, s, 1))

@@ -15,7 +15,6 @@ from contextlib import contextmanager
 import pytest
 
 from tribpoly import (
-    ONE,
     cli,
     enumerate_colored,
     enumerate_restricted,
@@ -236,16 +235,18 @@ def test_cli_verify_all_is_green(criterion):
 
 
 def test_cli_detects_seeded_fault(criterion, capfd, monkeypatch):
-    real = trib.overshoot_poly
+    # the overshoot's one definition, its triangle parts, which EQ4 sums
+    # into its right side and EQ12 reads through overshoot_poly
+    real = trib._overshoot_parts
 
-    def corrupted(n, s):
-        value = real(n, s)
+    def corrupted(n, s, weight):
+        parts = real(n, s, weight)
         if (n, s) == (5, 0):
-            return value + ONE
-        return value
+            return [*parts, (0, 0, weight, 0)]  # B(0, 0) = 1: overshoot_poly(5, 0) + 1
+        return parts
 
     with criterion("cli-fault-detection"):
-        monkeypatch.setattr(trib, "overshoot_poly", corrupted)
+        monkeypatch.setattr(trib, "_overshoot_parts", corrupted)
         capfd.readouterr()
         code = cli.main(["verify", "all", "--format", "json"])
         out = capfd.readouterr().out

@@ -462,15 +462,15 @@ def test_a_failed_side_reads_back_from_its_json(capsys, monkeypatch):
 
 
 def test_verify_text_failure_block(capsys, monkeypatch):
-    real = trib.overshoot_poly
+    real = trib._overshoot_parts  # the overshoot's parts, which EQ4's right side sums
 
-    def corrupted(n, s):
-        value = real(n, s)
+    def corrupted(n, s, weight):
+        parts = real(n, s, weight)
         if (n, s) == (7, 1):  # EQ4's correction at n = 7, s = 1
-            return value + Polynomial((0, 1))
-        return value
+            return [*parts, (0, 0, weight, 1)]  # x B(0, 0): overshoot_poly(7, 1) + x
+        return parts
 
-    monkeypatch.setattr(trib, "overshoot_poly", corrupted)
+    monkeypatch.setattr(trib, "_overshoot_parts", corrupted)
     code, out, _ = run_cli(capsys, "verify", "eq4", "--n", "1..9", "--s", "0..2")
     assert code == 1
     assert "overall: FAIL" in out

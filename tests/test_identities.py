@@ -33,6 +33,7 @@ from tribpoly import (
 from tribpoly import cli
 from tribpoly import generating as gen
 from tribpoly import identities as ident
+from tribpoly import poly
 from tribpoly import tribonacci as trib
 
 
@@ -172,6 +173,29 @@ def test_a_failed_report_keeps_the_sides_it_compared(monkeypatch):
     assert isinstance(report.rhs, TruncatedSeries) and report.rhs != report.lhs
 
 
+# EQ4's right side (three members less the overshoot) and ID1's left side
+# (the window times 1 + x^3) are each one triangle sum, with no product
+@pytest.mark.parametrize("identity_id, point", [("EQ4", (9, 2)), ("ID1", (8, 1, 3))])
+def test_each_side_is_one_triangle_sum(identity_id, point, monkeypatch):
+    calls = {"_triangle_sum": 0, "_product_sum": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, call)
+
+    counted(trib, "_triangle_sum")
+    counted(poly, "_product_sum")  # the path of Polynomial.__mul__
+    counted(ident, "_product_sum")
+    lhs, rhs = ident.CATALOG[identity_id].check.__wrapped__(*point)
+    assert lhs == rhs
+    assert calls == {"_triangle_sum": 2, "_product_sum": 0}
+
+
 # every family value an identity may read through the tribonacci module
 FAMILY_VALUES = (
     "tribonacci_number",
@@ -180,6 +204,7 @@ FAMILY_VALUES = (
     "level_sum",
     "incomplete_tribonacci_poly",
     "incomplete_sum",
+    "_incomplete_sum",
     "incomplete_tribonacci_number",
     "incomplete_fibonacci_poly",
     "overshoot_poly",

@@ -145,7 +145,7 @@ def test_incomplete_validation():
             trib.incomplete_sum([(1, 4, 9, 2), term])
     with pytest.raises(TypeError):
         trib.incomplete_sum([(0.5, 0, 3, 1)])
-    with pytest.raises(TypeError, match="^level_sum weights must be ints, got float$"):
+    with pytest.raises(TypeError, match="^level_sum weights must be an int, got float$"):
         trib.level_sum(6, [1.5, 1])
     # level -1 short-circuits before the index check (boundary convention)
     assert incomplete_tribonacci_poly(-1, -1) == ZERO
@@ -268,18 +268,32 @@ triangle_parts = st.tuples(
 )
 
 
+# the sum is one pass that grows its list as a part needs it, so the order
+# of the parts' top exponents 2n - i + shift matters to it
 @given(st.lists(triangle_parts, max_size=4))
+@example([])
 @example([(0, 0, 1, 0)])  # n = 0, i = 0
 @example([(7, 0, 2, 1)])  # i = 0: the single term x^(2n)
 @example([(9, 9, 1, 0)])  # n = i: only j = 0 survives
 @example([(5, 8, 3, 2)])  # n < i: zero
 @example([(0, 3, 1, 0)])  # n = 0 < i
+@example([(5, -1, 3, 0), (4, 6, 2, 1), (9, 2, 0, 4)])  # i < 0, i > n, weight 0: zero
 @example([(12, 4, 2, 1), (12, 4, -2, 1)])  # weights that cancel
+@example([(12, 4, 2, 1), (6, 1, 1, 0), (12, 4, -2, 1)])  # a cancelled top
 @example([(30, 10, 1, 1), (29, 10, 1, 0)])  # overshoot_poly's two parts
+@example([(2, 1, 1, 0), (5, 2, 1, 1), (9, 3, 2, 0), (14, 4, 1, 3)])  # ascending exponents
+@example([(14, 4, 1, 3), (9, 3, 2, 0), (5, 2, 1, 1), (2, 1, 1, 0)])  # descending exponents
+@example([(8, 3, 0, 2), (8, 3, -1, 0), (11, 2, -5, 1), (6, 2, 1, 7), (3, 0, 4, 11)])  # weights, shifts
+@example([(5, -1, 3, 0), (4, 6, 2, 1), (-2, -3, 1, 2), (7, 2, 1, 0)])  # i < 0 and i > n
 def test_triangle_sum_matches_its_definition(parts):
     result = trib._triangle_sum(parts)
     assert result == triangle_sum_by_definition(parts)
     assert not result.coeffs or result.coeffs[-1] != 0
+    by_part = ZERO
+    for n, i, weight, shift in parts:
+        by_part = by_part + triangle_poly(n, i).times_monomial(weight, shift)
+    assert result == by_part
+    assert trib._triangle_sum(iter(parts)) == result  # read once, as a generator is
 
 
 incomplete_terms = st.one_of(
